@@ -13,7 +13,6 @@ pub const ACTION_MAIN: &str = "android.intent.action.MAIN";
 
 /// The kind of an application component declared in the manifest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ComponentKind {
     /// `<activity>` — a foreground UI entry point.
     Activity,
@@ -38,7 +37,6 @@ impl ComponentKind {
 /// One `<activity>`/`<service>`/`<receiver>` declaration, with the intent
 /// actions its `<intent-filter>` registers for.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Component {
     /// The element kind.
     pub kind: ComponentKind,
@@ -87,7 +85,6 @@ impl Component {
 
 /// The static view of an app — what Apktool extracts from the APK.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Manifest {
     package: String,
     permissions: BTreeSet<Permission>,
@@ -221,7 +218,6 @@ impl ManifestBuilder {
 /// then crosses the app→SDK fragment boundary before reaching the
 /// network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Exfiltration {
     /// Fixes never leave the device.
     None,
@@ -280,7 +276,6 @@ impl Exfiltration {
 /// assert!(b.accesses_in_background());
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LocationBehavior {
     providers: Vec<ProviderKind>,
     foreground_interval_s: i64,
@@ -413,7 +408,6 @@ impl LocationBehavior {
 
 /// A complete app: manifest plus runtime behavior.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct App {
     manifest: Manifest,
     behavior: LocationBehavior,

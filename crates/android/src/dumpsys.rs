@@ -17,7 +17,6 @@ use std::str::FromStr;
 
 /// One parsed listener line from a report.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ListenerEntry {
     /// Package name of the registered app.
     pub package: String,

@@ -12,7 +12,6 @@ use crate::provider::ProviderKind;
 /// Per-fix energy costs in millijoule-equivalents (relative units; the
 /// defaults reflect the commonly cited GPS ≫ network ≫ passive ordering).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EnergyModel {
     /// Cost of one GPS fix.
     pub gps: f64,

@@ -161,7 +161,6 @@ pub const SDK_GEO_METHOD: &str = "report";
 
 /// One IR instruction — only the kinds the analyzers consume.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum IrInstr {
     /// `const-string "..."` — a string constant (provider names end up
     /// here, exactly where smali puts them). To the taint pass this is a
@@ -205,7 +204,6 @@ pub enum IrInstr {
 /// A method: a name and a straight-line body (control flow inside a
 /// method is irrelevant to reachability, so the IR has none).
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct IrMethod {
     /// Method name, unique within its class.
     pub name: String,
@@ -226,7 +224,6 @@ impl IrMethod {
 
 /// A class: a slash-separated path and its methods.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct IrClass {
     /// Class path, unique within its program (e.g. `com/x/MainActivity`).
     pub name: String,
@@ -253,7 +250,6 @@ impl IrClass {
 
 /// A whole app's IR — what "decompiling" one APK yields.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct IrProgram {
     /// Classes, in declaration order.
     pub classes: Vec<IrClass>,

@@ -7,7 +7,6 @@ use std::fmt;
 /// Only one app is in the foreground at a time (Android runs one activity
 /// on top of the screen); the device enforces that invariant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum AppState {
     /// Installed but not running.
     #[default]

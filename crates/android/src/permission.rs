@@ -9,7 +9,6 @@ use std::fmt;
 /// exist so synthetic manifests look like real ones (every real app
 /// declares a pile of unrelated permissions).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Permission {
     /// `android.permission.ACCESS_FINE_LOCATION` — GPS-precision fixes.
     AccessFineLocation,
@@ -58,7 +57,6 @@ impl fmt::Display for Permission {
 /// three-way split (17 % fine only / 16 % coarse only / 67 % both among
 /// declaring apps).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum LocationClaim {
     /// Declares neither location permission.
     None,

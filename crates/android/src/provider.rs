@@ -6,7 +6,6 @@ use std::str::FromStr;
 
 /// Granularity of a location fix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Granularity {
     /// Network-cell / wifi precision (hundreds of meters).
     Coarse,
@@ -25,7 +24,6 @@ impl fmt::Display for Granularity {
 
 /// The four Android location providers the paper's Table I tracks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ProviderKind {
     /// The GPS provider: fine fixes, requires `ACCESS_FINE_LOCATION`.
     Gps,

@@ -12,7 +12,6 @@ use std::fmt;
 
 /// Handle to an installed app.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AppId(pub(crate) usize);
 
 impl fmt::Display for AppId {
@@ -24,7 +23,6 @@ impl fmt::Display for AppId {
 /// One location delivery, as recorded by the device's access log —
 /// the information `dumpsys` exposes and the paper's study harvests.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AccessRecord {
     /// When the fix was delivered.
     pub time: Timestamp,
@@ -125,7 +123,6 @@ impl From<crate::lifecycle::TransitionError> for DeviceError {
 /// per app, whether to hand out real, degraded, fake, or no location
 /// data, without the app being able to tell the difference.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum LocationPolicy {
     /// Deliver real fixes (default Android behavior).
     #[default]

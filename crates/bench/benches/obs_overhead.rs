@@ -10,23 +10,23 @@
 
 use backwatch_bench::bench_user_long;
 use backwatch_core::poi::{ExtractorParams, SpatioTemporalExtractor};
-use backwatch_trace::ProjectedTrace;
+use backwatch_trace::SoaProjectedTrace;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
 fn obs_overhead(c: &mut Criterion) {
     let user = bench_user_long();
     let e = SpatioTemporalExtractor::new(ExtractorParams::paper_set1());
-    let projected = ProjectedTrace::project(&user.trace);
-    let mut g = c.benchmark_group("obs/extract_projected");
+    let projected = SoaProjectedTrace::project(&user.trace);
+    let mut g = c.benchmark_group("obs/extract_soa");
     g.throughput(Throughput::Elements(user.trace.len() as u64));
     backwatch_obs::set_enabled(true);
     g.bench_function("enabled", |b| {
-        b.iter(|| e.extract_projected(black_box(&projected)));
+        b.iter(|| e.extract_soa(black_box(&projected)));
     });
     backwatch_obs::set_enabled(false);
     g.bench_function("runtime_disabled", |b| {
-        b.iter(|| e.extract_projected(black_box(&projected)));
+        b.iter(|| e.extract_soa(black_box(&projected)));
     });
     backwatch_obs::set_enabled(true);
     g.finish();

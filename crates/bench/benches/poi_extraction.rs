@@ -7,21 +7,21 @@
 use backwatch_bench::{bench_user, bench_user_long};
 use backwatch_core::poi::{cluster_stays, ExtractorParams, NaiveDwellExtractor, SpatioTemporalExtractor};
 use backwatch_geo::{Meters, Seconds};
-use backwatch_trace::{sampling, ProjectedTrace};
+use backwatch_trace::{sampling, SoaProjectedTrace};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
 fn extractors_ablation(c: &mut Criterion) {
     let user = bench_user();
     let params = ExtractorParams::paper_set1();
-    let projected = ProjectedTrace::project(&user.trace);
+    let projected = SoaProjectedTrace::project(&user.trace);
     let mut g = c.benchmark_group("poi/ablation");
     g.throughput(Throughput::Elements(user.trace.len() as u64));
     // The pipeline projects each user once and runs every extraction on the
     // planar view, so `three_buffer` measures what production pays per pass.
     g.bench_function("three_buffer", |b| {
         let e = SpatioTemporalExtractor::new(params);
-        b.iter(|| e.extract_projected(black_box(&projected)));
+        b.iter(|| e.extract_soa(black_box(&projected)));
     });
     g.bench_function("naive_anchor", |b| {
         let e = NaiveDwellExtractor::new(params);
@@ -38,19 +38,19 @@ fn fast_path(c: &mut Criterion) {
     let user = bench_user_long();
     let params = ExtractorParams::paper_set1();
     let e = SpatioTemporalExtractor::new(params);
-    let projected = ProjectedTrace::project(&user.trace);
+    let projected = SoaProjectedTrace::project(&user.trace);
     let mut g = c.benchmark_group("poi/fast_path");
     g.throughput(Throughput::Elements(user.trace.len() as u64));
     g.bench_function("latlon", |b| {
         b.iter(|| e.extract(black_box(&user.trace)));
     });
     g.bench_function("planar", |b| {
-        b.iter(|| e.extract_projected(black_box(&projected)));
+        b.iter(|| e.extract_soa(black_box(&projected)));
     });
     g.bench_function("planar_with_projection", |b| {
         b.iter(|| {
-            let p = ProjectedTrace::project(black_box(&user.trace));
-            e.extract_projected(&p)
+            let p = SoaProjectedTrace::project(black_box(&user.trace));
+            e.extract_soa(&p)
         });
     });
     g.finish();
@@ -60,13 +60,13 @@ fn extraction_vs_sampling_rate(c: &mut Criterion) {
     let user = bench_user_long();
     let params = ExtractorParams::paper_set1();
     let e = SpatioTemporalExtractor::new(params);
-    let projected = ProjectedTrace::project(&user.trace);
+    let projected = SoaProjectedTrace::project(&user.trace);
     let mut g = c.benchmark_group("poi/by_interval");
     for interval in [1i64, 60, 600] {
         let indices = sampling::downsample_indices(&user.trace, Seconds::new(interval));
         g.throughput(Throughput::Elements(indices.len() as u64));
         g.bench_function(format!("interval_{interval}s"), |b| {
-            b.iter(|| e.extract_sampled(black_box(&projected), black_box(&indices)));
+            b.iter(|| e.extract_sampled_soa(black_box(&projected), black_box(&indices)));
         });
     }
     g.finish();
@@ -78,7 +78,7 @@ fn sampling_owned_vs_views(c: &mut Criterion) {
     let user = bench_user_long();
     let params = ExtractorParams::paper_set1();
     let e = SpatioTemporalExtractor::new(params);
-    let projected = ProjectedTrace::project(&user.trace);
+    let projected = SoaProjectedTrace::project(&user.trace);
     let mut g = c.benchmark_group("poi/sampling");
     for interval in [60i64, 600] {
         g.bench_function(format!("owned_{interval}s"), |b| {
@@ -90,7 +90,7 @@ fn sampling_owned_vs_views(c: &mut Criterion) {
         g.bench_function(format!("view_{interval}s"), |b| {
             b.iter(|| {
                 let ix = sampling::downsample_indices(black_box(&user.trace), Seconds::new(interval));
-                e.extract_sampled(&projected, &ix)
+                e.extract_sampled_soa(&projected, &ix)
             });
         });
     }

@@ -12,7 +12,7 @@
 
 use backwatch_bench::bench_user_long;
 use backwatch_core::poi::{ExtractorParams, SpatioTemporalExtractor};
-use backwatch_trace::ProjectedTrace;
+use backwatch_trace::SoaProjectedTrace;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -32,9 +32,9 @@ fn best_of(rounds: usize, iters: usize, f: &dyn Fn()) -> Duration {
 fn telemetry_overhead_stays_small_on_the_hot_path() {
     let user = bench_user_long();
     let e = SpatioTemporalExtractor::new(ExtractorParams::paper_set1());
-    let projected = ProjectedTrace::project(&user.trace);
+    let projected = SoaProjectedTrace::project(&user.trace);
     let extract = || {
-        black_box(e.extract_projected(black_box(&projected)));
+        black_box(e.extract_soa(black_box(&projected)));
     };
 
     // Warm up caches and the lazy metric registration.

@@ -15,7 +15,6 @@ use backwatch_stats::entropy;
 
 /// How matched profiles are weighted into the posterior.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Weighting {
     /// The paper's Formula 2: weight ∝ χ²ᵢ.
     #[default]
@@ -28,7 +27,6 @@ pub enum Weighting {
 
 /// Outcome of matching collected data against a profile collection.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AnonymityOutcome {
     /// Indices (into the profile collection) of the matched profiles.
     pub matched: Vec<usize>,

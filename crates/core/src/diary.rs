@@ -12,7 +12,6 @@ use std::fmt::Write as _;
 
 /// One diary entry: a visit to a known place.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DiaryEntry {
     /// Day index of the arrival.
     pub day: i64,

@@ -25,7 +25,6 @@ use backwatch_stats::chi2;
 
 /// The binary histogram-fit metric of Table II.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum HisBin {
     /// `His_bin = 0`: collected data does not reveal the profile.
     Safe,
@@ -52,7 +51,6 @@ impl HisBin {
 
 /// How the chi-square comparison is configured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum MatchRule {
     /// Reconstruction (default): scale observed counts to the profile
     /// total; match when the upper-tail test *fails to reject*.
@@ -65,7 +63,6 @@ pub enum MatchRule {
 
 /// Outcome of one His_bin comparison.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MatchOutcome {
     /// The binary metric.
     pub his_bin: HisBin,
@@ -89,7 +86,6 @@ pub struct MatchOutcome {
 /// assert!(!matcher.compare(&empty, &empty).his_bin.is_leaky());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Matcher {
     alpha: f64,
     rule: MatchRule,
@@ -220,7 +216,6 @@ impl Matcher {
 /// Result of the incremental detector: how much collected data the
 /// adversary needed before `His_bin` flipped to 1.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Detection {
     /// Fraction of the collected trace's fixes that had been seen when the
     /// match fired (the x-axis of Figure 4(a)/(b)).

@@ -5,7 +5,7 @@ use crate::poi::{cluster_stays, match_against_truth, sensitive_counts, Extractor
 use backwatch_geo::Seconds;
 use backwatch_trace::sampling;
 use backwatch_trace::synth::UserTrace;
-use backwatch_trace::ProjectedTrace;
+use backwatch_trace::SoaProjectedTrace;
 
 /// The access intervals (seconds) swept by the paper's Figure 3/4/5
 /// frequency axes.
@@ -13,7 +13,6 @@ pub const PAPER_INTERVALS: [i64; 10] = [1, 5, 10, 30, 60, 300, 600, 1800, 3600, 
 
 /// What one user's trace yields at one access interval.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FrequencyImpact {
     /// The app's polling interval, seconds.
     pub interval_s: i64,
@@ -43,7 +42,7 @@ const MATCH_RADIUS_FACTOR: f64 = 3.0;
 /// Panics if `interval` is not positive.
 #[must_use]
 pub fn measure_at_interval(user: &UserTrace, interval: Seconds, params: ExtractorParams) -> FrequencyImpact {
-    measure_projected(user, &ProjectedTrace::project(&user.trace), interval, params)
+    measure_projected(user, &SoaProjectedTrace::project(&user.trace), interval, params)
 }
 
 /// [`measure_at_interval`] on a trace that was already projected once —
@@ -54,12 +53,12 @@ pub fn measure_at_interval(user: &UserTrace, interval: Seconds, params: Extracto
 #[must_use]
 pub fn measure_projected(
     user: &UserTrace,
-    projected: &ProjectedTrace,
+    projected: &SoaProjectedTrace,
     interval: Seconds,
     params: ExtractorParams,
 ) -> FrequencyImpact {
-    let indices = sampling::downsample_indices_from_times(projected.points().iter().map(|p| p.time.as_secs()), interval);
-    let stays = SpatioTemporalExtractor::new(params).extract_sampled(projected, &indices);
+    let indices = sampling::downsample_indices_from_times(projected.times().iter().copied(), interval);
+    let stays = SpatioTemporalExtractor::new(params).extract_sampled_soa(projected, &indices);
     impact_from_stays(user, interval, indices.len(), &stays, params)
 }
 
@@ -92,7 +91,7 @@ pub fn impact_from_stays(
 /// Sweeps [`PAPER_INTERVALS`] for one user, projecting the trace once.
 #[must_use]
 pub fn sweep_intervals(user: &UserTrace, params: ExtractorParams) -> Vec<FrequencyImpact> {
-    let projected = ProjectedTrace::project(&user.trace);
+    let projected = SoaProjectedTrace::project(&user.trace);
     PAPER_INTERVALS
         .iter()
         .map(|&i| measure_projected(user, &projected, Seconds::new(i), params))

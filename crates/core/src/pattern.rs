@@ -21,7 +21,6 @@ use std::fmt;
 
 /// Which profile representation to build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PatternKind {
     /// Pattern 1: ⟨region, visited times⟩, weighted by occupancy — each
     /// stay contributes its dwell in half-hour blocks. This follows the
@@ -50,7 +49,6 @@ impl fmt::Display for PatternKind {
 
 /// A histogram key: a region or a directed region transition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PatternKey {
     /// A visited region (pattern 1).
     Region(CellId),
@@ -83,7 +81,6 @@ pub enum PatternKey {
 /// assert_eq!(p.histogram().total(), 1);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Profile {
     kind: PatternKind,
     hist: CountHistogram<PatternKey>,

@@ -5,7 +5,7 @@
 //! representation is [`TracePoint`], where every radius decision pays the
 //! full metric (a cosine and a square root per pair). The fast
 //! representation is [`ProjectedPoint`], whose planar coordinates were
-//! computed once per trace ([`ProjectedTrace`]): radius decisions become a
+//! computed once per trace ([`SoaProjectedTrace`]): radius decisions become a
 //! *filter-and-refine* — plain multiply/add planar arithmetic certifies
 //! decisions that are farther than a proven error bound from the radius
 //! threshold, and only the rare ambiguous pair (or any pair under
@@ -18,7 +18,7 @@
 use backwatch_geo::distance::Metric;
 use backwatch_geo::{LatLon, Meters, Seconds};
 use backwatch_obs::LocalCounter;
-use backwatch_trace::{ProjectedPoint, ProjectedTrace, SoaProjectedTrace, Timestamp, TracePoint};
+use backwatch_trace::{ProjectedPoint, SoaProjectedTrace, Timestamp, TracePoint};
 use std::collections::VecDeque;
 
 /// Absolute floating-point guard, in meters per buffered point, added to
@@ -68,7 +68,7 @@ impl BufferPoint for TracePoint {
 
 /// Geometry context for [`ProjectedPoint`] buffers: the projection's
 /// anchor and scale plus the trace's certified error slope, assembled once
-/// per extraction via [`PlanarCtx::new`].
+/// per extraction via [`PlanarCtx::for_soa`].
 ///
 /// The context also carries the pass's filter/refine decision tallies as
 /// single-threaded [`LocalCounter`]s — one add instruction per decision,
@@ -89,34 +89,18 @@ pub struct PlanarCtx {
     pub(crate) certified: LocalCounter,
     /// Decisions that fell back to the exact metric this pass.
     pub(crate) refined: LocalCounter,
-    /// Full lane chunks evaluated by the SoA spread kernel this pass.
-    pub(crate) simd_chunks: LocalCounter,
-    /// Fixes evaluated in the SoA spread kernel's scalar tail this pass.
-    pub(crate) simd_tail: LocalCounter,
 }
 
 impl PlanarCtx {
-    /// Builds the context for extracting from `projected` under `metric`.
-    #[must_use]
-    pub fn new(projected: &ProjectedTrace, metric: Metric) -> Self {
-        Self::from_projection(projected.projection(), projected.slack_per_east_meter(), metric)
-    }
-
-    /// Builds the context for extracting from a column-layout
-    /// [`SoaProjectedTrace`] under `metric`. The context is value-identical
-    /// to [`PlanarCtx::new`] on the AoS projection of the same trace (both
-    /// layouts carry the same projection and slack).
+    /// Builds the context for extracting from `soa` under `metric`.
     #[must_use]
     pub fn for_soa(soa: &SoaProjectedTrace, metric: Metric) -> Self {
-        Self::from_projection(soa.projection(), soa.slack_per_east_meter(), metric)
-    }
-
-    fn from_projection(proj: &backwatch_geo::projection::LocalProjection, slack_per_east_meter: f64, metric: Metric) -> Self {
+        let proj = soa.projection();
         let (m_per_deg_lat, m_per_deg_lon) = proj.frame().meters_per_deg();
         let slack_per_dx = match metric {
             // Only equirectangular has a certified planar bound; haversine
             // callers get exact spherical decisions on every pair.
-            Metric::Equirectangular => slack_per_east_meter,
+            Metric::Equirectangular => soa.slack_per_east_meter(),
             Metric::Haversine => f64::INFINITY,
         };
         Self {
@@ -128,8 +112,6 @@ impl PlanarCtx {
             slack_per_dx,
             certified: LocalCounter::new(),
             refined: LocalCounter::new(),
-            simd_chunks: LocalCounter::new(),
-            simd_tail: LocalCounter::new(),
         }
     }
 
@@ -139,13 +121,6 @@ impl PlanarCtx {
         (self.certified.get(), self.refined.get())
     }
 
-    /// The pass's `(full chunks, scalar-tail fixes)` SoA kernel tallies so
-    /// far (zero on the scalar path).
-    #[must_use]
-    pub fn simd_counts(&self) -> (u64, u64) {
-        (self.simd_chunks.get(), self.simd_tail.get())
-    }
-
     /// Adds this pass's decision tallies to the shared
     /// `core.poi.planar_certified_total` / `core.poi.planar_refined_total`
     /// counters and zeroes the local cells. Called once per extraction
@@ -153,8 +128,6 @@ impl PlanarCtx {
     pub fn flush_decision_counts(&self) {
         self.certified.flush_into(&crate::obs::POI_PLANAR_CERTIFIED);
         self.refined.flush_into(&crate::obs::POI_PLANAR_REFINED);
-        self.simd_chunks.flush_into(&crate::obs::POI_SIMD_CHUNKS);
-        self.simd_tail.flush_into(&crate::obs::POI_SIMD_TAIL);
     }
 }
 
@@ -383,112 +356,6 @@ impl<P: BufferPoint> CentroidBuffer<P> {
     }
 }
 
-/// The FIFO-window interface the streaming state machine drives: exactly
-/// the operations [`super::streaming::StreamingExtractor`] performs on its
-/// entry/exit windows, abstracted so the window's *storage layout* can
-/// change without touching the state machine.
-///
-/// Two implementations exist: [`CentroidBuffer`] (array-of-structs, a
-/// `VecDeque` of points — the scalar oracle) and
-/// [`super::soa::SoaPlanarWindow`] (struct-of-arrays columns feeding the
-/// chunked vectorizable spread kernel). The differential suites in
-/// `tests/planar_equivalence.rs` pin the two bit-identical.
-pub trait Window: Default {
-    /// The point representation the window buffers.
-    type Point: BufferPoint;
-
-    /// Appends a point (updating the running lat/lon sums).
-    fn push(&mut self, p: Self::Point);
-
-    /// Removes and returns the oldest point (downdating the sums).
-    fn pop_front(&mut self) -> Option<Self::Point>;
-
-    /// Number of buffered points.
-    fn len(&self) -> usize;
-
-    /// Whether the window is empty.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The raw running `(lat, lon)` sums, rounding residue included (see
-    /// [`CentroidBuffer::sums`]).
-    fn sums(&self) -> (f64, f64);
-
-    /// Time span covered by the window, seconds (0 for < 2 points).
-    fn span_secs(&self) -> i64;
-
-    /// Decides `spread ≤ radius` against the window's own centroid,
-    /// bit-identical to [`CentroidBuffer::is_within_spread`]: every point's
-    /// decision is exact-or-certified and evaluation stops at the first
-    /// point found outside the radius.
-    fn is_within_spread(&self, radius: Meters, ctx: &<Self::Point as BufferPoint>::Ctx) -> bool;
-
-    /// Visits every buffered point oldest-first (used by checkpoint
-    /// serialization).
-    fn for_each_point(&self, f: impl FnMut(&Self::Point));
-
-    /// Rebuilds a window from checkpointed parts, trusting `sum_lat`/
-    /// `sum_lon` to be the captured running sums for `points` (including
-    /// their rounding residue). Only checkpoint restore may bypass the
-    /// incremental bookkeeping.
-    fn from_raw_parts(points: Vec<Self::Point>, sum_lat: f64, sum_lon: f64) -> Self;
-
-    /// Drops points from the front until the window spans at most
-    /// `max_span`.
-    fn trim_to_span(&mut self, max_span: Seconds) {
-        while self.span_secs() > max_span.get() {
-            self.pop_front();
-        }
-    }
-}
-
-impl<P: BufferPoint> Window for CentroidBuffer<P> {
-    type Point = P;
-
-    fn push(&mut self, p: P) {
-        CentroidBuffer::push(self, p);
-    }
-
-    fn pop_front(&mut self) -> Option<P> {
-        CentroidBuffer::pop_front(self)
-    }
-
-    fn len(&self) -> usize {
-        CentroidBuffer::len(self)
-    }
-
-    fn is_empty(&self) -> bool {
-        CentroidBuffer::is_empty(self)
-    }
-
-    fn sums(&self) -> (f64, f64) {
-        CentroidBuffer::sums(self)
-    }
-
-    fn span_secs(&self) -> i64 {
-        CentroidBuffer::span_secs(self)
-    }
-
-    fn is_within_spread(&self, radius: Meters, ctx: &P::Ctx) -> bool {
-        CentroidBuffer::is_within_spread(self, radius, ctx)
-    }
-
-    fn for_each_point(&self, mut f: impl FnMut(&P)) {
-        for p in &self.points {
-            f(p);
-        }
-    }
-
-    fn from_raw_parts(points: Vec<P>, sum_lat: f64, sum_lon: f64) -> Self {
-        CentroidBuffer::from_raw_parts(points, sum_lat, sum_lon)
-    }
-
-    fn trim_to_span(&mut self, max_span: Seconds) {
-        CentroidBuffer::trim_to_span(self, max_span);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -607,24 +474,24 @@ mod tests {
             })
             .collect();
         let trace = Trace::from_points(pts.clone());
-        let projected = ProjectedTrace::project(&trace);
+        let projected = SoaProjectedTrace::project(&trace);
         for metric in [Metric::Equirectangular, Metric::Haversine] {
-            let ctx = PlanarCtx::new(&projected, metric);
+            let ctx = PlanarCtx::for_soa(&projected, metric);
             let mut latlon: CentroidBuffer<TracePoint> = CentroidBuffer::new();
             let mut planar: CentroidBuffer<ProjectedPoint> = CentroidBuffer::new();
-            for (p, q) in pts.iter().zip(projected.points()) {
+            for (p, q) in pts.iter().zip(projected.iter()) {
                 if !latlon.is_empty() {
                     for radius in [1.0, 10.0, 50.0, 120.0] {
                         assert_eq!(
                             latlon.covers(p, Meters::new(radius), &metric),
-                            planar.covers(q, Meters::new(radius), &ctx),
+                            planar.covers(&q, Meters::new(radius), &ctx),
                             "covers at t={} radius {radius}",
                             p.time
                         );
                     }
                 }
                 latlon.push(*p);
-                planar.push(*q);
+                planar.push(q);
                 for radius in [1.0, 10.0, 50.0, 120.0] {
                     assert_eq!(
                         latlon.is_within_spread(Meters::new(radius), &metric),

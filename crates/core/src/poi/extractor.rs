@@ -15,17 +15,15 @@
 //! radius, i.e. only hours-long stays survive, exactly the degradation the
 //! paper measures in Figure 3.
 
-use super::buffer::{BufferPoint, CentroidBuffer, PlanarCtx, Window};
-use super::soa::SoaPlanarWindow;
+use super::buffer::{BufferPoint, CentroidBuffer, PlanarCtx};
 use super::streaming::StreamingExtractor;
 use backwatch_geo::distance::Metric;
 use backwatch_geo::{LatLon, Meters, Seconds};
-use backwatch_trace::{ProjectedTrace, SoaProjectedTrace, Timestamp, Trace};
+use backwatch_trace::{ProjectedPoint, SoaProjectedTrace, Timestamp, Trace};
 
 /// Parameters of the extractor. The paper's Table III sweeps `radius_m` ∈
 /// {50, 100} meters and `min_visit_secs` ∈ {600, 1200, 1800} seconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ExtractorParams {
     /// PoI radius.
     pub radius_m: Meters,
@@ -89,7 +87,6 @@ impl Default for ExtractorParams {
 /// One extracted PoI visit: the user stayed within `radius_m` of
 /// `centroid` from `enter` to `leave`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Stay {
     /// Centroid of the visit's fixes.
     pub centroid: LatLon,
@@ -149,60 +146,23 @@ impl SpatioTemporalExtractor {
         &self.params
     }
 
-    /// Extracts all PoI visits from `trace`, in chronological order.
+    /// Extracts all PoI visits from `trace`, in chronological order. This
+    /// is the lat/lon oracle: every radius decision pays the exact metric.
     #[must_use]
     pub fn extract(&self, trace: &Trace) -> Vec<Stay> {
-        self.run::<_, CentroidBuffer<_>, _>(trace.iter().copied(), &self.params.metric)
+        self.run(trace.iter().copied(), &self.params.metric)
     }
 
     /// Planar fast path: extracts from a trace that was projected once
-    /// with [`ProjectedTrace::project`]. Radius decisions run on planar
+    /// with [`SoaProjectedTrace::project`]. Radius decisions run on planar
     /// coordinates behind a certified error bound (see
     /// [`super::buffer::PlanarCtx`]), so the result is **bit-identical** to
     /// [`SpatioTemporalExtractor::extract`] on the source trace — under
     /// [`Metric::Haversine`], which has no certified planar bound, every
     /// decision transparently takes the exact spherical path.
     #[must_use]
-    pub fn extract_projected(&self, projected: &ProjectedTrace) -> Vec<Stay> {
-        let ctx = PlanarCtx::new(projected, self.params.metric);
-        let stays = self.run::<_, CentroidBuffer<_>, _>(projected.points().iter().copied(), &ctx);
-        ctx.flush_decision_counts();
-        stays
-    }
-
-    /// Data-oriented fast path: extracts from a column-layout
-    /// [`SoaProjectedTrace`], driving the chunked vectorizable spread
-    /// kernel (see [`super::soa`]) instead of the point-at-a-time scalar
-    /// check. **Bit-identical** to [`SpatioTemporalExtractor::extract`] /
-    /// [`extract_projected`](Self::extract_projected) on the same trace,
-    /// including the certified/refined telemetry tallies — the differential
-    /// suites in `tests/planar_equivalence.rs` pin both.
-    #[must_use]
     pub fn extract_soa(&self, soa: &SoaProjectedTrace) -> Vec<Stay> {
-        let ctx = PlanarCtx::for_soa(soa, self.params.metric);
-        let stays = self.run::<_, SoaPlanarWindow, _>(soa.iter(), &ctx);
-        ctx.flush_decision_counts();
-        stays
-    }
-
-    /// SoA twin of [`extract_sampled`](Self::extract_sampled): the chunked
-    /// kernel over a downsampled view, bit-identical to the scalar path.
-    #[must_use]
-    pub fn extract_sampled_soa(&self, soa: &SoaProjectedTrace, indices: &[u32]) -> Vec<Stay> {
-        let ctx = PlanarCtx::for_soa(soa, self.params.metric);
-        let stays = self.run::<_, SoaPlanarWindow, _>(soa.sampled(indices), &ctx);
-        ctx.flush_decision_counts();
-        stays
-    }
-
-    /// SoA twin of [`extract_rotated`](Self::extract_rotated): the chunked
-    /// kernel over a rotated view, bit-identical to the scalar path.
-    #[must_use]
-    pub fn extract_rotated_soa(&self, soa: &SoaProjectedTrace, start: usize) -> Vec<Stay> {
-        let ctx = PlanarCtx::for_soa(soa, self.params.metric);
-        let stays = self.run::<_, SoaPlanarWindow, _>(soa.rotated_from(start), &ctx);
-        ctx.flush_decision_counts();
-        stays
+        self.run_planar(soa, soa.iter())
     }
 
     /// Planar fast path over a downsampled *view*: equivalent to
@@ -211,37 +171,35 @@ impl SpatioTemporalExtractor {
     /// the trace. `Stay::end_index` refers to positions in the view, as it
     /// would in the downsampled trace.
     #[must_use]
-    pub fn extract_sampled(&self, projected: &ProjectedTrace, indices: &[u32]) -> Vec<Stay> {
-        let ctx = PlanarCtx::new(projected, self.params.metric);
-        let stays = self.run::<_, CentroidBuffer<_>, _>(projected.sampled(indices), &ctx);
-        ctx.flush_decision_counts();
-        stays
+    pub fn extract_sampled_soa(&self, soa: &SoaProjectedTrace, indices: &[u32]) -> Vec<Stay> {
+        self.run_planar(soa, soa.sampled(indices))
     }
 
     /// Planar fast path over a rotated *view*: equivalent to extracting
     /// from `sampling::rotate_to_start(trace, start)` without cloning.
     #[must_use]
-    pub fn extract_rotated(&self, projected: &ProjectedTrace, start: usize) -> Vec<Stay> {
-        let ctx = PlanarCtx::new(projected, self.params.metric);
-        let stays = self.run::<_, CentroidBuffer<_>, _>(projected.rotated_from(start), &ctx);
+    pub fn extract_rotated_soa(&self, soa: &SoaProjectedTrace, start: usize) -> Vec<Stay> {
+        self.run_planar(soa, soa.rotated_from(start))
+    }
+
+    /// The planar driver behind every `extract_*_soa` view: builds the
+    /// geometry context for `soa`, runs the engine over `points`, and
+    /// flushes the pass's certified/refined tallies.
+    fn run_planar(&self, soa: &SoaProjectedTrace, points: impl Iterator<Item = ProjectedPoint>) -> Vec<Stay> {
+        let ctx = PlanarCtx::for_soa(soa, self.params.metric);
+        let stays = self.run(points, &ctx);
         ctx.flush_decision_counts();
         stays
     }
 
     /// Batch extraction, generic over the point representation (raw
-    /// lat/lon or projected planar) and the window layout (scalar
-    /// [`CentroidBuffer`] or column-stored [`SoaPlanarWindow`]): drives the
-    /// streaming engine ([`StreamingExtractor`]) over the iterator and
-    /// collects its incremental emissions. Delegating — rather than keeping
-    /// a second copy of the three-buffer state machine — is what makes the
+    /// lat/lon or projected planar): drives the streaming engine
+    /// ([`StreamingExtractor`]) over the iterator and collects its
+    /// incremental emissions. Delegating — rather than keeping a second
+    /// copy of the three-buffer state machine — is what makes the
     /// streaming/batch differential guarantee hold by construction.
-    fn run<P, W, I>(&self, points: I, ctx: &P::Ctx) -> Vec<Stay>
-    where
-        P: BufferPoint,
-        W: Window<Point = P>,
-        I: Iterator<Item = P>,
-    {
-        let mut engine: StreamingExtractor<P, W> = StreamingExtractor::new(self.params);
+    fn run<P: BufferPoint>(&self, points: impl Iterator<Item = P>, ctx: &P::Ctx) -> Vec<Stay> {
+        let mut engine: StreamingExtractor<P> = StreamingExtractor::new(self.params);
         let mut stays = Vec::new();
         for point in points {
             if let Some(stay) = engine.push_with(point, ctx) {
@@ -495,10 +453,10 @@ mod tests {
         let extractor = SpatioTemporalExtractor::new(params);
         let empty = Trace::new();
         assert!(extractor.extract(&empty).is_empty());
-        let projected = ProjectedTrace::project(&empty);
-        assert!(extractor.extract_projected(&projected).is_empty());
-        assert!(extractor.extract_sampled(&projected, &[]).is_empty());
-        assert!(extractor.extract_rotated(&projected, 0).is_empty());
+        let soa = SoaProjectedTrace::project(&empty);
+        assert!(extractor.extract_soa(&soa).is_empty());
+        assert!(extractor.extract_sampled_soa(&soa, &[]).is_empty());
+        assert!(extractor.extract_rotated_soa(&soa, 0).is_empty());
         assert!(NaiveDwellExtractor::new(params).extract(&empty).is_empty());
     }
 
@@ -508,10 +466,10 @@ mod tests {
         let extractor = SpatioTemporalExtractor::new(params);
         let one = Trace::from_points(vec![pt(0, 39.9, 116.4)]);
         assert!(extractor.extract(&one).is_empty());
-        let projected = ProjectedTrace::project(&one);
-        assert!(extractor.extract_projected(&projected).is_empty());
-        assert!(extractor.extract_sampled(&projected, &[0]).is_empty());
-        assert!(extractor.extract_rotated(&projected, 0).is_empty());
+        let soa = SoaProjectedTrace::project(&one);
+        assert!(extractor.extract_soa(&soa).is_empty());
+        assert!(extractor.extract_sampled_soa(&soa, &[0]).is_empty());
+        assert!(extractor.extract_rotated_soa(&soa, 0).is_empty());
         assert!(NaiveDwellExtractor::new(params).extract(&one).is_empty());
     }
 }

@@ -13,7 +13,6 @@ use backwatch_trace::synth::{TrueVisit, UserTrace};
 
 /// Recovery scoring of one extraction run against ground truth.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RecoveryReport {
     /// Ground-truth visits eligible under the visiting-time threshold.
     pub eligible_truth: usize,

@@ -10,7 +10,6 @@ use backwatch_geo::{LatLon, Meters};
 
 /// A clustered place: the centroid of its member stays and their indices.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Place {
     /// Stable index within the owning [`PlaceSet`].
     pub id: usize,
@@ -30,7 +29,6 @@ impl Place {
 
 /// The result of clustering a stay list.
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PlaceSet {
     places: Vec<Place>,
     /// `assignment[i]` is the place id of stay `i`.

@@ -9,7 +9,6 @@ use super::places::{Place, PlaceSet};
 
 /// The visit-count threshold below which a place is sensitive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SensitivityThreshold(pub usize);
 
 impl SensitivityThreshold {

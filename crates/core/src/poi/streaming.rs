@@ -28,7 +28,7 @@
 //! `tests/planar_equivalence.rs` pins the streaming path to the same
 //! constant as the batch paths.
 
-use super::buffer::{BufferPoint, CentroidBuffer, Window};
+use super::buffer::{BufferPoint, CentroidBuffer};
 use super::extractor::{ExtractorParams, Stay};
 use backwatch_geo::distance::Metric;
 use backwatch_geo::{LatLon, Meters, Seconds};
@@ -70,7 +70,7 @@ impl<P: BufferPoint> StayAccum<P> {
     /// pop/push sequence the batch code used to move the entry (or exit)
     /// window into a fresh PoI buffer, so the sums see the same `+=`s in
     /// the same order. Returns `None` if `buf` is empty.
-    fn from_drained<W: Window<Point = P>>(buf: &mut W) -> Option<Self> {
+    fn from_drained(buf: &mut CentroidBuffer<P>) -> Option<Self> {
         let first = buf.pop_front()?;
         let mut acc = Self {
             front: first,
@@ -120,27 +120,26 @@ impl<P: BufferPoint> StayAccum<P> {
 }
 
 /// The three-buffer state machine's mode, lifted out of the batch loop.
-/// Generic over the window layout `W` (array-of-structs
-/// [`CentroidBuffer`] or the column-stored
-/// [`super::soa::SoaPlanarWindow`]); the machine itself is layout-blind.
-enum Machine<W: Window> {
+enum Machine<P: BufferPoint> {
     /// Moving: the entry window watches for the user settling.
-    Outside { entry: W },
+    Outside { entry: CentroidBuffer<P> },
     /// Visiting: a PoI accumulator plus the exit window.
     Inside {
-        poi: StayAccum<W::Point>,
-        exit: W,
+        poi: StayAccum<P>,
+        exit: CentroidBuffer<P>,
         last_inside_index: usize,
     },
 }
 
-impl<W: Window> Default for Machine<W> {
+impl<P: BufferPoint> Default for Machine<P> {
     fn default() -> Self {
-        Machine::Outside { entry: W::default() }
+        Machine::Outside {
+            entry: CentroidBuffer::new(),
+        }
     }
 }
 
-impl<W: Window> Machine<W> {
+impl<P: BufferPoint> Machine<P> {
     /// Fixes currently buffered (entry or exit window; the PoI accumulator
     /// is constant-size and not counted).
     fn buffered_len(&self) -> usize {
@@ -180,9 +179,9 @@ impl<W: Window> Machine<W> {
 /// stays.extend(engine.finish()); // the visit is still open at end-of-stream
 /// assert_eq!(stays.len(), 1);
 /// ```
-pub struct StreamingExtractor<P: BufferPoint = TracePoint, W: Window<Point = P> = CentroidBuffer<P>> {
+pub struct StreamingExtractor<P: BufferPoint = TracePoint> {
     params: ExtractorParams,
-    machine: Machine<W>,
+    machine: Machine<P>,
     /// Index the next pushed fix will occupy in the (virtual) trace.
     next_index: usize,
     /// High-water mark of `buffered_len()` since construction/resume.
@@ -193,7 +192,7 @@ pub struct StreamingExtractor<P: BufferPoint = TracePoint, W: Window<Point = P> 
     emitted_since_flush: u64,
 }
 
-impl<P: BufferPoint, W: Window<Point = P>> fmt::Debug for StreamingExtractor<P, W> {
+impl<P: BufferPoint> fmt::Debug for StreamingExtractor<P> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("StreamingExtractor")
             .field("params", &self.params)
@@ -203,7 +202,7 @@ impl<P: BufferPoint, W: Window<Point = P>> fmt::Debug for StreamingExtractor<P, 
     }
 }
 
-impl<P: BufferPoint, W: Window<Point = P>> StreamingExtractor<P, W> {
+impl<P: BufferPoint> StreamingExtractor<P> {
     /// Creates an engine at stream position 0 with the given parameters.
     #[must_use]
     pub fn new(params: ExtractorParams) -> Self {
@@ -280,7 +279,7 @@ impl<P: BufferPoint, W: Window<Point = P>> StreamingExtractor<P, W> {
     /// Outside, stay Inside) touch only the live variant, so a push does
     /// not move the ~300-byte machine through a take-and-rebuild round
     /// trip; the variant is reassigned only on the rare mode changes.
-    fn step(params: &ExtractorParams, machine: &mut Machine<W>, point: P, index: usize, ctx: &P::Ctx) -> Option<Stay> {
+    fn step(params: &ExtractorParams, machine: &mut Machine<P>, point: P, index: usize, ctx: &P::Ctx) -> Option<Stay> {
         match machine {
             Machine::Outside { entry } => {
                 entry.push(point);
@@ -295,7 +294,7 @@ impl<P: BufferPoint, W: Window<Point = P>> StreamingExtractor<P, W> {
                     if let Some(poi) = StayAccum::from_drained(entry) {
                         *machine = Machine::Inside {
                             poi,
-                            exit: W::default(),
+                            exit: CentroidBuffer::new(),
                             last_inside_index: index,
                         };
                     }
@@ -327,7 +326,7 @@ impl<P: BufferPoint, W: Window<Point = P>> StreamingExtractor<P, W> {
                         // The exit window seeds the next entry window so
                         // back-to-back PoIs are not missed (the second
                         // overlap of the paper's description).
-                        let mut entry = W::default();
+                        let mut entry = CentroidBuffer::new();
                         while let Some(q) = exit.pop_front() {
                             entry.push(q);
                         }
@@ -338,7 +337,7 @@ impl<P: BufferPoint, W: Window<Point = P>> StreamingExtractor<P, W> {
                             *machine = match StayAccum::from_drained(&mut entry) {
                                 Some(next_poi) => Machine::Inside {
                                     poi: next_poi,
-                                    exit: W::default(),
+                                    exit: CentroidBuffer::new(),
                                     last_inside_index: index,
                                 },
                                 None => Machine::Outside { entry },
@@ -392,7 +391,7 @@ impl<P: BufferPoint, W: Window<Point = P>> StreamingExtractor<P, W> {
     }
 }
 
-impl<P: BufferPoint, W: Window<Point = P>> Drop for StreamingExtractor<P, W> {
+impl<P: BufferPoint> Drop for StreamingExtractor<P> {
     /// An engine dropped mid-stream (e.g. after a checkpoint was handed
     /// off) still accounts for the fixes it processed.
     fn drop(&mut self) {
@@ -410,7 +409,7 @@ impl StreamingExtractor<TracePoint> {
     }
 }
 
-impl<P: StreamPoint, W: Window<Point = P>> StreamingExtractor<P, W> {
+impl<P: StreamPoint> StreamingExtractor<P> {
     /// Serializes the complete engine state. The returned [`Checkpoint`]
     /// plus the remaining fixes reproduce exactly the output this engine
     /// would have produced — buffer sums are captured as raw f64 bits, so
@@ -459,7 +458,7 @@ impl<P: StreamPoint, W: Window<Point = P>> StreamingExtractor<P, W> {
     /// remaining fixes continues the original stream bit-identically.
     ///
     /// The geometry context is *not* part of the checkpoint — projected
-    /// streams must resume against the same [`backwatch_trace::ProjectedTrace`]
+    /// streams must resume against the same [`backwatch_trace::SoaProjectedTrace`]
     /// they were suspended from.
     ///
     /// # Errors
@@ -609,8 +608,7 @@ impl StreamPoint for ProjectedPoint {
 ///
 /// The format is self-contained little-endian 64-bit words (magic+version,
 /// point kind, full parameters, stream position, state tag, buffer sums as
-/// raw f64 bits, encoded points) — deliberately dependency-free because
-/// the workspace's vendored `serde` stub has no derive support.
+/// raw f64 bits, encoded points), with no external dependencies.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Checkpoint {
     words: Vec<u64>,
@@ -758,39 +756,31 @@ fn metric_from_tag(tag: u64) -> Result<Metric, CheckpointError> {
 }
 
 /// Appends a buffer block: length, raw sum bits, then the encoded points
-/// oldest-first. The block depends only on the window's *contents*, never
-/// its layout — which is what makes checkpoints interchangeable between
-/// the AoS and SoA engines.
-fn encode_buffer<W: Window>(buf: &W, out: &mut Vec<u64>)
-where
-    W::Point: StreamPoint,
-{
+/// oldest-first.
+fn encode_buffer<P: StreamPoint>(buf: &CentroidBuffer<P>, out: &mut Vec<u64>) {
     let (sum_lat, sum_lon) = buf.sums();
     out.push(buf.len() as u64);
     out.push(sum_lat.to_bits());
     out.push(sum_lon.to_bits());
-    buf.for_each_point(|p| p.encode(out));
+    for p in buf.points() {
+        p.encode(out);
+    }
 }
 
 /// Decodes a buffer block, restoring the sum bits verbatim (recomputing
 /// them from the points would lose pop-front rounding residue and break
 /// bit-identity).
-fn decode_buffer<W: Window>(r: &mut Reader<'_>) -> Result<W, CheckpointError>
-where
-    W::Point: StreamPoint,
-{
+fn decode_buffer<P: StreamPoint>(r: &mut Reader<'_>) -> Result<CentroidBuffer<P>, CheckpointError> {
     let len = r.next()? as usize;
     let sum_lat = f64::from_bits(r.next()?);
     let sum_lon = f64::from_bits(r.next()?);
-    let n_words = len
-        .checked_mul(<W::Point as StreamPoint>::WORDS)
-        .ok_or(CheckpointError::Truncated)?;
+    let n_words = len.checked_mul(P::WORDS).ok_or(CheckpointError::Truncated)?;
     let raw = r.take(n_words)?;
     let mut points = Vec::with_capacity(len);
-    for chunk in raw.chunks_exact(<W::Point as StreamPoint>::WORDS) {
-        points.push(<W::Point as StreamPoint>::decode(chunk).ok_or(CheckpointError::InvalidPoint)?);
+    for chunk in raw.chunks_exact(P::WORDS) {
+        points.push(P::decode(chunk).ok_or(CheckpointError::InvalidPoint)?);
     }
-    Ok(W::from_raw_parts(points, sum_lat, sum_lon))
+    Ok(CentroidBuffer::from_raw_parts(points, sum_lat, sum_lon))
 }
 
 /// Full structural walk of a deserialized word stream, without a concrete
@@ -838,7 +828,7 @@ fn validate_layout(words: &[u64]) -> Result<(), CheckpointError> {
 mod tests {
     use super::*;
     use crate::poi::{PlanarCtx, SpatioTemporalExtractor};
-    use backwatch_trace::{ProjectedTrace, Trace};
+    use backwatch_trace::{SoaProjectedTrace, Trace};
 
     fn pt(t: i64, lat: f64, lon: f64) -> TracePoint {
         TracePoint::new(Timestamp::from_secs(t), LatLon::new(lat, lon).unwrap())
@@ -988,23 +978,30 @@ mod tests {
         assert!(engine.finish().is_some());
     }
 
+    /// Streams every fix of `soa` through a planar engine with its own
+    /// context, returning the stays and the context's decision tallies.
+    fn stream_soa(params: ExtractorParams, soa: &SoaProjectedTrace) -> (Vec<Stay>, (u64, u64)) {
+        let ctx = PlanarCtx::for_soa(soa, params.metric);
+        let mut engine: StreamingExtractor<ProjectedPoint> = StreamingExtractor::new(params);
+        let mut stays: Vec<Stay> = soa.iter().filter_map(|p| engine.push_with(p, &ctx)).collect();
+        stays.extend(engine.finish());
+        (stays, ctx.decision_counts())
+    }
+
     #[test]
-    fn projected_stream_matches_extract_projected() {
-        let pts = two_stop_points();
-        let trace = Trace::from_points(pts);
-        let projected = ProjectedTrace::project(&trace);
+    fn projected_stream_matches_batch_soa_and_latlon() {
+        let trace = Trace::from_points(two_stop_points());
+        let soa = SoaProjectedTrace::project(&trace);
         for metric in [Metric::Equirectangular, Metric::Haversine] {
             let params = ExtractorParams {
                 metric,
                 ..ExtractorParams::paper_set1()
             };
-            let batch = SpatioTemporalExtractor::new(params).extract_projected(&projected);
-            let ctx = PlanarCtx::new(&projected, metric);
-            let mut engine: StreamingExtractor<ProjectedPoint> = StreamingExtractor::new(params);
-            let mut stays: Vec<Stay> = projected.points().iter().filter_map(|p| engine.push_with(*p, &ctx)).collect();
-            stays.extend(engine.finish());
-            ctx.flush_decision_counts();
-            assert_eq!(batch, stays, "metric {metric:?}");
+            let extractor = SpatioTemporalExtractor::new(params);
+            let (stays, (certified, refined)) = stream_soa(params, &soa);
+            assert_eq!(extractor.extract_soa(&soa), stays, "metric {metric:?}");
+            assert_eq!(extractor.extract(&trace), stays, "lat/lon oracle, metric {metric:?}");
+            assert!(certified + refined > 0, "no planar decisions under {metric:?}");
         }
     }
 
@@ -1023,107 +1020,31 @@ mod tests {
         let batch = SpatioTemporalExtractor::new(ExtractorParams::paper_set1()).extract(&trace);
         let mut engine = StreamingExtractor::new(ExtractorParams::paper_set1());
         assert_eq!(stream_all(&mut engine, trace.points()), batch);
-        let projected = ProjectedTrace::project(&trace);
-        let ctx = PlanarCtx::new(&projected, ExtractorParams::paper_set1().metric);
-        let mut planar: StreamingExtractor<ProjectedPoint> = StreamingExtractor::new(ExtractorParams::paper_set1());
-        let mut stays: Vec<Stay> = projected.points().iter().filter_map(|p| planar.push_with(*p, &ctx)).collect();
-        stays.extend(planar.finish());
+        let (stays, (certified, _)) = stream_soa(ExtractorParams::paper_set1(), &SoaProjectedTrace::project(&trace));
         assert_eq!(stays, batch);
+        assert_eq!(certified, 0, "a degenerate projection certifies nothing");
     }
 
     #[test]
     fn projected_checkpoint_resumes_bit_identically() {
-        let pts = two_stop_points();
-        let trace = Trace::from_points(pts);
-        let projected = ProjectedTrace::project(&trace);
+        let trace = Trace::from_points(two_stop_points());
+        let soa = SoaProjectedTrace::project(&trace);
         let params = ExtractorParams::paper_set1();
-        let batch = SpatioTemporalExtractor::new(params).extract_projected(&projected);
-        let ctx = PlanarCtx::new(&projected, params.metric);
+        let batch = SpatioTemporalExtractor::new(params).extract(&trace);
+        let ctx = PlanarCtx::for_soa(&soa, params.metric);
         let mut engine: StreamingExtractor<ProjectedPoint> = StreamingExtractor::new(params);
         let mut stays = Vec::new();
-        for p in &projected.points()[..1100] {
-            stays.extend(engine.push_with(*p, &ctx));
+        for p in soa.iter().take(1100) {
+            stays.extend(engine.push_with(p, &ctx));
         }
         let bytes = engine.checkpoint().to_bytes();
         let cp = Checkpoint::from_bytes(&bytes).unwrap();
         let mut resumed: StreamingExtractor<ProjectedPoint> = StreamingExtractor::resume(&cp).unwrap();
-        for p in &projected.points()[cp.points_consumed()..] {
-            stays.extend(resumed.push_with(*p, &ctx));
+        for p in soa.iter().skip(cp.points_consumed()) {
+            stays.extend(resumed.push_with(p, &ctx));
         }
         stays.extend(resumed.finish());
         assert_eq!(batch, stays);
-    }
-
-    #[test]
-    fn soa_stream_matches_scalar_stream_bit_identically() {
-        use crate::poi::soa::SoaStreamingExtractor;
-        use backwatch_trace::SoaProjectedTrace;
-        let trace = Trace::from_points(two_stop_points());
-        let projected = ProjectedTrace::project(&trace);
-        let soa = SoaProjectedTrace::from_projected(&projected);
-        for metric in [Metric::Equirectangular, Metric::Haversine] {
-            let params = ExtractorParams {
-                metric,
-                ..ExtractorParams::paper_set1()
-            };
-            let scalar_ctx = PlanarCtx::new(&projected, metric);
-            let mut scalar: StreamingExtractor<ProjectedPoint> = StreamingExtractor::new(params);
-            let mut expect: Vec<Stay> = projected
-                .points()
-                .iter()
-                .filter_map(|p| scalar.push_with(*p, &scalar_ctx))
-                .collect();
-            expect.extend(scalar.finish());
-
-            let soa_ctx = PlanarCtx::for_soa(&soa, metric);
-            let mut engine = SoaStreamingExtractor::new(params);
-            let mut got: Vec<Stay> = soa.iter().filter_map(|p| engine.push_with(p, &soa_ctx)).collect();
-            got.extend(engine.finish());
-            assert_eq!(expect, got, "metric {metric:?}");
-            assert_eq!(
-                scalar_ctx.decision_counts(),
-                soa_ctx.decision_counts(),
-                "certified/refined tallies diverged under {metric:?}"
-            );
-        }
-    }
-
-    /// Checkpoints are layout-portable: suspend the scalar-window engine,
-    /// resume into the SoA-window engine (and vice versa) — the stream
-    /// continues bit-identically either way, because the wire format
-    /// captures window *contents*, never layout.
-    #[test]
-    fn checkpoint_crosses_window_layouts_bit_identically() {
-        use crate::poi::soa::SoaStreamingExtractor;
-        use backwatch_trace::SoaProjectedTrace;
-        let trace = Trace::from_points(two_stop_points());
-        let projected = ProjectedTrace::project(&trace);
-        let soa = SoaProjectedTrace::from_projected(&projected);
-        let params = ExtractorParams::paper_set1();
-        let batch = SpatioTemporalExtractor::new(params).extract_projected(&projected);
-        let ctx = PlanarCtx::new(&projected, params.metric);
-        for split in [450, 899, 1100] {
-            // AoS first half → SoA second half
-            let mut first: StreamingExtractor<ProjectedPoint> = StreamingExtractor::new(params);
-            let mut stays: Vec<Stay> = projected.points()[..split]
-                .iter()
-                .filter_map(|p| first.push_with(*p, &ctx))
-                .collect();
-            let cp = Checkpoint::from_bytes(&first.checkpoint().to_bytes()).unwrap();
-            let mut second: SoaStreamingExtractor = StreamingExtractor::resume(&cp).unwrap();
-            stays.extend((split..soa.len()).filter_map(|i| second.push_with(soa.point(i), &ctx)));
-            stays.extend(second.finish());
-            assert_eq!(batch, stays, "AoS→SoA split {split}");
-
-            // SoA first half → AoS second half
-            let mut first = SoaStreamingExtractor::new(params);
-            let mut stays: Vec<Stay> = (0..split).filter_map(|i| first.push_with(soa.point(i), &ctx)).collect();
-            let cp = Checkpoint::from_bytes(&first.checkpoint().to_bytes()).unwrap();
-            let mut second: StreamingExtractor<ProjectedPoint> = StreamingExtractor::resume(&cp).unwrap();
-            stays.extend(projected.points()[split..].iter().filter_map(|p| second.push_with(*p, &ctx)));
-            stays.extend(second.finish());
-            assert_eq!(batch, stays, "SoA→AoS split {split}");
-        }
     }
 
     #[test]

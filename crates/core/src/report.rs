@@ -31,7 +31,6 @@ use std::fmt;
 /// # Ok::<(), backwatch_geo::LatLonError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PrivacyReport {
     /// Fixes in the analysed trace.
     pub fixes: usize,

@@ -8,7 +8,6 @@ use backwatch_geo::Grid;
 
 /// Per-pattern and combined detection results for one user's collection.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RiskAssessment {
     /// Detection with pattern 1 (region visits), if it fired.
     pub pattern1: Option<Detection>,

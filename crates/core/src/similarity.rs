@@ -11,7 +11,6 @@ use backwatch_stats::entropy::normalize;
 
 /// Graded similarity between an observed profile and a reference profile.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Similarity {
     /// Jensen–Shannon divergence in bits: 0 = identical distributions,
     /// 1 = disjoint supports.

@@ -14,7 +14,6 @@ use backwatch_trace::Trace;
 
 /// Result of a time-to-confusion analysis.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TimeToConfusion {
     /// Mean uninterrupted tracking duration, seconds.
     pub mean_tracking_secs: f64,
@@ -28,7 +27,6 @@ pub struct TimeToConfusion {
 
 /// Configuration of the tracker.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TtcConfig {
     /// Radius within which another user is considered a plausible owner
     /// of the released fix, meters.

@@ -10,7 +10,6 @@ use rand::RngCore;
 
 /// A circular zone in which no fixes are released.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SensitiveZone {
     /// Zone center.
     pub center: LatLon,

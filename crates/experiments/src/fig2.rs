@@ -9,7 +9,7 @@ use crate::pool::map_users;
 use crate::ExperimentConfig;
 use backwatch_core::poi::{ExtractorParams, SpatioTemporalExtractor};
 use backwatch_trace::synth::generate_user;
-use backwatch_trace::ProjectedTrace;
+use backwatch_trace::SoaProjectedTrace;
 use std::fmt::Write as _;
 
 /// One row of the sweep.
@@ -39,10 +39,10 @@ pub fn run(cfg: &ExperimentConfig) -> Fig2Result {
     // One projection per user serves all six parameter sets.
     let per_user: Vec<[usize; 6]> = map_users(cfg.synth.n_users, cfg.threads, |i| {
         let user = generate_user(&cfg.synth, i);
-        let projected = ProjectedTrace::project(&user.trace);
+        let projected = SoaProjectedTrace::project(&user.trace);
         let mut counts = [0usize; 6];
         for (k, params) in sets.iter().enumerate() {
-            counts[k] = SpatioTemporalExtractor::new(*params).extract_projected(&projected).len();
+            counts[k] = SpatioTemporalExtractor::new(*params).extract_soa(&projected).len();
         }
         counts
     });

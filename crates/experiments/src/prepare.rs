@@ -58,8 +58,7 @@ fn prepare_one(cfg: &ExperimentConfig, user_idx: u32) -> UserData {
     let extractor = SpatioTemporalExtractor::new(cfg.params);
     let user = generate_user(&cfg.synth, user_idx);
 
-    // Project the trace into the local tangent plane once, in the
-    // column-major (SoA) layout the chunked spread kernel wants; every
+    // Project the trace into the local tangent plane once; every
     // extraction below — full rate, each interval, the rotated variant —
     // reuses it.
     let projected = SoaProjectedTrace::project(&user.trace);
@@ -149,16 +148,16 @@ mod tests {
     }
 
     #[test]
-    fn soa_pipeline_matches_scalar_pipeline() {
-        // The preparation pipeline runs on the SoA layout; pin it to the
-        // scalar AoS oracle bit-for-bit on every synthetic user.
+    fn planar_pipeline_matches_latlon_oracle() {
+        // The preparation pipeline runs on the planar layout; pin it to the
+        // lat/lon oracle bit-for-bit on every synthetic user.
         let cfg = ExperimentConfig::small();
         let extractor = SpatioTemporalExtractor::new(cfg.params);
         for i in 0..cfg.synth.n_users {
             let user = generate_user(&cfg.synth, i);
-            let scalar = extractor.extract_projected(&backwatch_trace::ProjectedTrace::project(&user.trace));
-            let soa = extractor.extract_soa(&SoaProjectedTrace::project(&user.trace));
-            assert_eq!(scalar, soa, "user {i}: SoA stays diverge from scalar oracle");
+            let oracle = extractor.extract(&user.trace);
+            let planar = extractor.extract_soa(&SoaProjectedTrace::project(&user.trace));
+            assert_eq!(oracle, planar, "user {i}: planar stays diverge from the lat/lon oracle");
         }
     }
 

@@ -19,7 +19,6 @@ use crate::LatLon;
 /// # Ok::<(), backwatch_geo::LatLonError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BoundingBox {
     min_lat: f64,
     max_lat: f64,

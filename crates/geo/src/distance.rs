@@ -51,7 +51,6 @@ pub fn equirectangular(a: LatLon, b: LatLon) -> f64 {
 /// Distance metric selector for algorithms that let callers trade accuracy
 /// for speed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Metric {
     /// Exact great-circle distance ([`haversine`]).
     Haversine,

@@ -23,7 +23,6 @@ use crate::{LatLon, EARTH_RADIUS_M};
 /// # Ok::<(), backwatch_geo::LatLonError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Frame {
     origin: LatLon,
     meters_per_deg_lat: f64,

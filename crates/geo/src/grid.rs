@@ -11,7 +11,6 @@ use crate::{LatLon, EARTH_RADIUS_M};
 /// Identifier of a grid cell: integer (row, column) offsets from the grid
 /// origin.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CellId {
     /// Row index (latitude direction).
     pub row: i64,
@@ -40,7 +39,6 @@ pub struct CellId {
 /// # Ok::<(), backwatch_geo::LatLonError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Grid {
     origin: LatLon,
     cell_size_m: f64,

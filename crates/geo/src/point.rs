@@ -21,7 +21,6 @@ use std::fmt;
 /// # Ok::<(), backwatch_geo::LatLonError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LatLon {
     lat: f64,
     lon: f64,

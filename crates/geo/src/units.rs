@@ -40,12 +40,10 @@ use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
 /// An angle in degrees (latitudes, longitudes, latitude bands).
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Degrees(f64);
 
 /// A length in meters (PoI radii, ENU offsets, grid cell sizes).
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Meters(f64);
 
 /// A duration in whole seconds (dwell thresholds, sampling intervals).
@@ -54,7 +52,6 @@ pub struct Meters(f64);
 /// second (`Timestamp`-style epoch offsets), and the paper's thresholds
 /// are integer seconds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Seconds(i64);
 
 macro_rules! float_unit {

@@ -5,7 +5,6 @@ use std::fmt;
 /// A Play Store category. The paper samples the top 100 apps from each of
 /// the 28 categories that existed at study time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[allow(missing_docs)] // variant names are self-describing category labels
 pub enum Category {
     BooksAndReference,

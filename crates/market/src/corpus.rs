@@ -47,7 +47,6 @@ use std::sync::{Arc, OnceLock};
 
 /// A provider combination — one column of the paper's Table I.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[allow(missing_docs)] // variants spell out their provider sets
 pub enum ProviderCombo {
     Gps,
@@ -469,7 +468,6 @@ impl Quotas {
 /// The planted truth for one generated app — what a perfect measurement
 /// would recover.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GroundTruth {
     /// Declared permission posture.
     pub claim: LocationClaim,

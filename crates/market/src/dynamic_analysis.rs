@@ -18,7 +18,6 @@ use std::collections::BTreeSet;
 
 /// What the dynamic run observed about one app.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DynamicObservation {
     /// Package name.
     pub package: String,

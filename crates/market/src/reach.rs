@@ -36,7 +36,6 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// The four classes the static analyzer assigns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ReachClass {
     /// Cannot access location: no permission, or no reachable sink.
     NonAccessor,

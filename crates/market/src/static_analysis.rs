@@ -17,7 +17,6 @@ use backwatch_android::permission::LocationClaim;
 
 /// Outcome of triaging one manifest.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ManifestFinding {
     /// The app's package name.
     pub package: String,

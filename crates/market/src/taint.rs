@@ -58,7 +58,6 @@ fn sanitized(d: u8) -> u8 {
 
 /// The four-point per-app taint classification, in severity order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TaintClass {
     /// Reachability non-accessor: the permission gate (or absence of any
     /// reachable sink) means no location data ever enters the app.

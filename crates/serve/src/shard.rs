@@ -8,16 +8,13 @@
 //! iteration order varies per process, which would break the
 //! bit-identical crash-resume guarantee the integration tests pin.)
 //!
-//! The shard is layout-generic over the engine's [`Window`] exactly like
-//! [`StreamingExtractor`] itself: the lat/lon service uses the default
-//! AoS `CentroidBuffer`, and projected deployments can instantiate
-//! `Shard<ProjectedPoint, SoaPlanarWindow>` to get the SoA hot path —
-//! the checkpoint wire format is window-layout-independent, so snapshots
-//! stay interchangeable.
+//! The shard is generic over the engine's point representation exactly
+//! like [`StreamingExtractor`] itself: the lat/lon service uses the default
+//! [`TracePoint`], and projected deployments can instantiate
+//! `Shard<ProjectedPoint>` to get the certified planar filter.
 
 use crate::obs as serve_obs;
-use backwatch_core::poi::{CentroidBuffer, StreamPoint};
-use backwatch_core::poi::{Checkpoint, CheckpointError, ExtractorParams, Stay, StreamingExtractor, Window};
+use backwatch_core::poi::{Checkpoint, CheckpointError, ExtractorParams, Stay, StreamPoint, StreamingExtractor};
 use backwatch_trace::TracePoint;
 use std::collections::BTreeMap;
 use std::error::Error;
@@ -71,14 +68,14 @@ impl Error for RestoreError {
 
 /// A shard of the ingestion service: per-user streaming engines plus the
 /// serve-side tallies that feed `serve.shard.*` telemetry.
-pub struct Shard<P: StreamPoint = TracePoint, W: Window<Point = P> = CentroidBuffer<P>> {
+pub struct Shard<P: StreamPoint = TracePoint> {
     params: ExtractorParams,
-    users: BTreeMap<u64, StreamingExtractor<P, W>>,
+    users: BTreeMap<u64, StreamingExtractor<P>>,
     fixes_unflushed: u64,
     stays_unflushed: u64,
 }
 
-impl<P: StreamPoint, W: Window<Point = P>> fmt::Debug for Shard<P, W> {
+impl<P: StreamPoint> fmt::Debug for Shard<P> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Shard")
             .field("users", &self.users.len())
@@ -87,7 +84,7 @@ impl<P: StreamPoint, W: Window<Point = P>> fmt::Debug for Shard<P, W> {
     }
 }
 
-impl<P: StreamPoint, W: Window<Point = P>> Shard<P, W> {
+impl<P: StreamPoint> Shard<P> {
     /// An empty shard; every engine it lazily creates uses `params`.
     #[must_use]
     pub fn new(params: ExtractorParams) -> Self {
@@ -223,7 +220,7 @@ impl<P: StreamPoint, W: Window<Point = P>> Shard<P, W> {
     }
 }
 
-impl<P: StreamPoint, W: Window<Point = P>> Drop for Shard<P, W> {
+impl<P: StreamPoint> Drop for Shard<P> {
     /// Tallies accumulated since the last flush still reach telemetry
     /// when the shard is dropped mid-stream.
     fn drop(&mut self) {
@@ -363,12 +360,12 @@ mod tests {
         }
     }
 
-    /// The layout-generic form compiles and round-trips with the SoA
-    /// window (projected points): the wire format is layout-independent.
+    /// A projected-point shard, with a snapshot/restore mid-stream, emits
+    /// exactly the stays of the default lat/lon shard on the same fixes.
     #[test]
-    fn soa_shard_round_trips_projected_streams() {
-        use backwatch_core::poi::{PlanarCtx, SoaPlanarWindow};
-        use backwatch_trace::{synth, ProjectedTrace};
+    fn projected_shard_round_trips_and_matches_latlon_shard() {
+        use backwatch_core::poi::PlanarCtx;
+        use backwatch_trace::{synth, ProjectedPoint, SoaProjectedTrace};
 
         let cfg = synth::SynthConfig {
             n_users: 1,
@@ -376,31 +373,34 @@ mod tests {
             ..synth::SynthConfig::small()
         };
         let user = synth::generate_user(&cfg, 0);
-        let projected = ProjectedTrace::project(&user.trace);
-        let ctx = PlanarCtx::new(&projected, params().metric);
+        let soa = SoaProjectedTrace::project(&user.trace);
+        let ctx = PlanarCtx::for_soa(&soa, params().metric);
 
-        let mut soa: Shard<backwatch_trace::ProjectedPoint, SoaPlanarWindow> = Shard::new(params());
-        let pts = projected.points();
-        let half = pts.len() / 2;
+        let mut planar: Shard<ProjectedPoint> = Shard::new(params());
+        let half = soa.len() / 2;
         let mut stays = Vec::new();
-        for p in &pts[..half] {
-            stays.extend(soa.ingest(0, *p, &ctx).map(|s| (0u64, s)));
+        for p in soa.iter().take(half) {
+            stays.extend(planar.ingest(0, p, &ctx).map(|s| (0u64, s)));
         }
-        let bytes = soa.snapshot();
-        let mut resumed: Shard<backwatch_trace::ProjectedPoint, SoaPlanarWindow> =
-            Shard::restore(params(), &bytes).expect("SoA shard restores");
-        for p in &pts[half..] {
-            stays.extend(resumed.ingest(0, *p, &ctx).map(|s| (0u64, s)));
+        let bytes = planar.snapshot();
+        let mut resumed: Shard<ProjectedPoint> = Shard::restore(params(), &bytes).expect("planar shard restores");
+        for p in soa.iter().skip(half) {
+            stays.extend(resumed.ingest(0, p, &ctx).map(|s| (0u64, s)));
         }
         stays.extend(resumed.finish());
 
-        // Oracle: one uninterrupted AoS engine over the same stream.
-        let mut oracle: Shard<backwatch_trace::ProjectedPoint> = Shard::new(params());
+        // Oracle: one uninterrupted lat/lon shard over the same stream.
+        let metric = params().metric;
+        let mut oracle: Shard = Shard::new(params());
         let mut expect = Vec::new();
-        for p in pts {
-            expect.extend(oracle.ingest(0, *p, &ctx).map(|s| (0u64, s)));
+        for p in user.trace.iter() {
+            expect.extend(oracle.ingest(0, *p, &metric).map(|s| (0u64, s)));
         }
         expect.extend(oracle.finish());
-        assert_eq!(stays, expect, "SoA shard with a mid-stream restore must match the AoS oracle");
+        assert!(!expect.is_empty(), "a synthetic day must produce stays");
+        assert_eq!(
+            stays, expect,
+            "planar shard with a mid-stream restore must match the lat/lon shard"
+        );
     }
 }

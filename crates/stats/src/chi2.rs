@@ -83,7 +83,6 @@ pub fn inverse_cdf(p: f64, df: f64) -> f64 {
 /// Which tail of the chi-square distribution a goodness-of-fit test
 /// examines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Tail {
     /// Classic Pearson upper tail: reject when the statistic is large
     /// (observed counts deviate from expectations).
@@ -98,7 +97,6 @@ pub enum Tail {
 
 /// Result of a chi-square goodness-of-fit test.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GofOutcome {
     /// The Pearson statistic `Σ (o_i - e_i)² / e_i`.
     pub statistic: f64,
@@ -125,7 +123,6 @@ pub struct GofOutcome {
 /// assert_eq!(outcome.statistic, 0.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GofTest {
     alpha: f64,
     tail: Tail,

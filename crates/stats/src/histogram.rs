@@ -28,7 +28,6 @@ use std::hash::Hash;
 /// assert_eq!(h.total(), 3);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CountHistogram<K: Ord> {
     counts: BTreeMap<K, u64>,
     total: u64,

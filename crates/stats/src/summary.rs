@@ -79,7 +79,6 @@ pub fn quantile(xs: &[f64], q: f64) -> Option<f64> {
 /// assert_eq!(ecdf.fraction_at_or_below(10.0), 1.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Ecdf {
     sorted: Vec<f64>,
 }

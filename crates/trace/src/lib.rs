@@ -11,9 +11,10 @@
 //! - [`sampling`] — interval downsampling, which models an app polling
 //!   location every `k` seconds (the paper's "access frequency"), plus
 //!   prefix and random-start windows used by Figure 4.
-//! - [`projected`] — a trace projected once into flat planar meters, so
-//!   the per-interval experiment sweep pays the spherical trigonometry a
-//!   single time and every downsampled/rotated view reuses it.
+//! - [`soa`] — a trace projected once into flat planar meters and stored
+//!   column-wise, so the per-interval experiment sweep pays the spherical
+//!   trigonometry a single time and every downsampled/rotated view reuses
+//!   it; [`projected`] holds its point type and envelope analysis.
 //! - [`coarsen`] — grid snapping and Gaussian jitter, modelling coarse
 //!   location providers and GPS noise.
 //! - [`synth`] — the mobility model: each synthetic user has a home, an
@@ -52,6 +53,6 @@ pub mod trajectory;
 
 pub use dataset::Dataset;
 pub use point::{Timestamp, TracePoint};
-pub use projected::{ProjectedPoint, ProjectedTrace};
+pub use projected::ProjectedPoint;
 pub use soa::SoaProjectedTrace;
 pub use trajectory::{Trace, TraceError};

@@ -14,7 +14,6 @@ use std::fmt;
 
 /// A coarse transportation mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TransportMode {
     /// Not moving (dwell).
     Still,
@@ -55,7 +54,6 @@ impl fmt::Display for TransportMode {
 
 /// A maximal run of consecutive fixes classified as one mode.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ModeSegment {
     /// The segment's mode.
     pub mode: TransportMode,

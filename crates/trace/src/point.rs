@@ -21,7 +21,6 @@ use std::ops::{Add, Sub};
 /// assert_eq!((t + 90).as_secs() - t.as_secs(), 90);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Timestamp(i64);
 
 /// Seconds per day.
@@ -101,7 +100,6 @@ impl fmt::Display for Timestamp {
 /// A single recorded location fix: a coordinate and the moment it was
 /// observed.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TracePoint {
     /// When the fix was recorded.
     pub time: Timestamp,

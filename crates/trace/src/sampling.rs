@@ -124,7 +124,7 @@ pub fn from_random_start<R: Rng + ?Sized>(trace: &Trace, rng: &mut R) -> Trace {
 /// The random start index [`from_random_start`] rotates to: uniform over
 /// `0..len`, or `0` (without consuming the RNG) for fewer than two fixes.
 /// Exposed so borrowed rotation views (see
-/// [`crate::ProjectedTrace::rotated_from`]) can reproduce the owned
+/// [`crate::SoaProjectedTrace::rotated_from`]) can reproduce the owned
 /// function's draw exactly.
 pub fn random_start_index<R: Rng + ?Sized>(len: usize, rng: &mut R) -> usize {
     if len < 2 {
@@ -142,7 +142,7 @@ pub fn random_start_index<R: Rng + ?Sized>(len: usize, rng: &mut R) -> usize {
 /// Panics if `start >= trace.len()` and the trace is non-empty. An empty
 /// trace with `start == 0` is not an error: it returns an empty clone, so
 /// zero-point inputs flow through the rotation path without panicking
-/// (mirroring [`crate::ProjectedTrace::rotated_from`]).
+/// (mirroring [`crate::SoaProjectedTrace::rotated_from`]).
 #[must_use]
 pub fn rotate_to_start(trace: &Trace, start: usize) -> Trace {
     if start == 0 {

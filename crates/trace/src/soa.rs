@@ -1,30 +1,25 @@
-//! Struct-of-arrays projected traces — the data-oriented twin of
-//! [`ProjectedTrace`].
+//! Column-layout projected traces: the one planar trace layout.
 //!
-//! The certified planar filter is, at paper scale, one f64 distance kernel
-//! run hundreds of millions of times over coordinate streams. Feeding it
-//! from an array-of-structs (`Vec<ProjectedPoint>`, 40 bytes per fix of
-//! which the hot kernel reads 16) wastes more than half of every cache
-//! line and denies the compiler any chance to vectorize. A
-//! [`SoaProjectedTrace`] stores each field as its own column — `x`, `y`,
+//! A [`SoaProjectedTrace`] projects each fix once into (east, north)
+//! meters on a tangent plane anchored at the trace's first fix (see
+//! [`crate::projected`] for the envelope analysis and its certified
+//! error slope) and stores each field as its own column — `x`, `y`,
 //! `timestamp`, plus a geographic position column the refine fallback and
-//! reported centroids need — so batch geometric predicates stream over
-//! dense `&[f64]` slices (see `backwatch-core`'s `poi::soa` kernels).
-//! Positions stay as whole [`LatLon`] values (never split into raw
-//! degrees and re-wrapped) so materialized points are bit-verbatim.
+//! reported centroids need. Positions stay as whole [`LatLon`] values
+//! (never split into raw degrees and re-wrapped) so materialized points
+//! are bit-verbatim copies of the source fixes.
 //!
-//! The layout is the only thing that changes: columns hold bit-verbatim
-//! the same values [`ProjectedTrace`] holds ([`SoaProjectedTrace::project`]
-//! and [`ProjectedTrace::project`] share one envelope analysis), the same
-//! degenerate handling applies (polar anchor / antimeridian span ⇒
-//! `slack_per_east_meter() == +inf`, all-zero planar columns), and the
-//! view iterators ([`sampled`](SoaProjectedTrace::sampled),
-//! [`rotated_from`](SoaProjectedTrace::rotated_from)) reproduce the
-//! AoS views element-for-element. The equivalence tests in this module and
-//! the workspace-level `tests/planar_equivalence.rs` pin that.
+//! Degenerate inputs (polar anchor / antimeridian span) give
+//! `slack_per_east_meter() == +inf` and all-zero planar columns. The view
+//! iterators ([`sampled`](SoaProjectedTrace::sampled),
+//! [`rotated_from`](SoaProjectedTrace::rotated_from)) walk exactly the
+//! fixes of the owned [`crate::sampling::downsample`] /
+//! [`crate::sampling::rotate_to_start`] traces without cloning; the tests
+//! in this module and the workspace-level `tests/planar_equivalence.rs`
+//! pin that.
 
 use crate::point::{Timestamp, TracePoint};
-use crate::projected::{envelope, Envelope, ProjectedPoint, ProjectedTrace};
+use crate::projected::{envelope, Envelope, ProjectedPoint};
 use crate::trajectory::Trace;
 use backwatch_geo::projection::LocalProjection;
 use backwatch_geo::LatLon;
@@ -56,8 +51,7 @@ pub struct SoaProjectedTrace {
 
 impl SoaProjectedTrace {
     /// Projects `trace` onto a tangent plane anchored at its first fix,
-    /// directly into columns. Values are bit-identical to
-    /// [`ProjectedTrace::project`] on the same trace.
+    /// directly into columns.
     #[must_use]
     pub fn project(trace: &Trace) -> Self {
         let pts = trace.points();
@@ -76,20 +70,6 @@ impl SoaProjectedTrace {
             out.pos.push(p.pos);
             out.xs.push(x);
             out.ys.push(y);
-        }
-        out
-    }
-
-    /// Re-lays an already-projected trace out column-wise (bit-verbatim;
-    /// no geometry is recomputed).
-    #[must_use]
-    pub fn from_projected(projected: &ProjectedTrace) -> Self {
-        let mut out = Self::empty(*projected.projection(), projected.slack_per_east_meter(), projected.len());
-        for p in projected.points() {
-            out.times.push(p.time.as_secs());
-            out.pos.push(p.pos);
-            out.xs.push(p.x);
-            out.ys.push(p.y);
         }
         out
     }
@@ -113,7 +93,7 @@ impl SoaProjectedTrace {
 
     /// Certified planar-vs-equirectangular error per meter of planar east
     /// separation (`+inf` outside the fast path's envelope; see
-    /// [`ProjectedTrace::slack_per_east_meter`]).
+    /// [`crate::projected`]).
     #[must_use]
     pub fn slack_per_east_meter(&self) -> f64 {
         self.slack_per_east_meter
@@ -133,7 +113,7 @@ impl SoaProjectedTrace {
 
     /// Geographic positions in trace order (kept as whole [`LatLon`]
     /// values so the exact-metric refine path and reported centroids are
-    /// bit-identical to the AoS pipeline).
+    /// bit-identical to the lat/lon pipeline).
     #[must_use]
     pub fn positions(&self) -> &[LatLon] {
         &self.pos
@@ -193,16 +173,16 @@ impl SoaProjectedTrace {
     }
 
     /// Borrowed view of the fixes selected by `indices` (as produced by
-    /// [`crate::sampling::downsample_indices`]) — element-for-element equal
-    /// to [`ProjectedTrace::sampled`] on the AoS layout.
+    /// [`crate::sampling::downsample_indices`]) — the zero-copy equivalent
+    /// of extracting from a [`crate::sampling::downsample`]d trace.
     pub fn sampled<'a>(&'a self, indices: &'a [u32]) -> impl Iterator<Item = ProjectedPoint> + 'a {
         indices.iter().map(|&i| self.point(i as usize))
     }
 
     /// Borrowed view of the trace rotated to begin at fix `start`, with the
     /// wrapped head's timestamps shifted exactly as
-    /// [`ProjectedTrace::rotated_from`] does. `start == 0` (including on an
-    /// empty trace) yields the trace unchanged.
+    /// [`crate::sampling::rotate_to_start`] does. `start == 0` (including
+    /// on an empty trace) yields the trace unchanged.
     ///
     /// # Panics
     ///
@@ -245,6 +225,7 @@ impl SoaProjectedTrace {
 mod tests {
     use super::*;
     use crate::sampling;
+    use backwatch_geo::distance::equirectangular;
     use backwatch_geo::Seconds;
 
     fn pt(t: i64, lat: f64, lon: f64) -> TracePoint {
@@ -259,39 +240,22 @@ mod tests {
         )
     }
 
-    fn assert_points_bitwise_eq(a: ProjectedPoint, b: ProjectedPoint, what: &str) {
-        assert_eq!(a.time, b.time, "{what}: time");
-        assert_eq!(a.pos.lat().to_bits(), b.pos.lat().to_bits(), "{what}: lat");
-        assert_eq!(a.pos.lon().to_bits(), b.pos.lon().to_bits(), "{what}: lon");
-        assert_eq!(a.x.to_bits(), b.x.to_bits(), "{what}: x");
-        assert_eq!(a.y.to_bits(), b.y.to_bits(), "{what}: y");
+    fn trace_points(view: impl Iterator<Item = ProjectedPoint>) -> Vec<TracePoint> {
+        view.map(|p| TracePoint::new(p.time, p.pos)).collect()
     }
 
     #[test]
-    fn project_matches_aos_projection_bitwise() {
-        let tr = city_trace();
-        let aos = ProjectedTrace::project(&tr);
-        let soa = SoaProjectedTrace::project(&tr);
-        assert_eq!(aos.len(), soa.len());
-        assert_eq!(
-            aos.slack_per_east_meter().to_bits(),
-            soa.slack_per_east_meter().to_bits(),
-            "slack"
-        );
-        for (i, p) in aos.points().iter().enumerate() {
-            assert_points_bitwise_eq(*p, soa.point(i), &format!("point {i}"));
-        }
-    }
-
-    #[test]
-    fn from_projected_matches_direct_projection() {
-        let tr = city_trace();
-        let aos = ProjectedTrace::project(&tr);
-        let direct = SoaProjectedTrace::project(&tr);
-        let converted = SoaProjectedTrace::from_projected(&aos);
-        assert_eq!(direct.len(), converted.len());
-        for i in 0..direct.len() {
-            assert_points_bitwise_eq(direct.point(i), converted.point(i), &format!("point {i}"));
+    fn planar_pairwise_distances_track_equirectangular() {
+        let soa = SoaProjectedTrace::project(&city_trace());
+        let slack = soa.slack_per_east_meter();
+        assert!(slack.is_finite());
+        let pts: Vec<ProjectedPoint> = soa.iter().collect();
+        for w in pts.windows(17) {
+            let (a, b) = (w[0], w[16]);
+            let planar = ((a.x - b.x).powi(2) + (a.y - b.y).powi(2)).sqrt();
+            let exact = equirectangular(a.pos, b.pos);
+            let bound = (a.x - b.x).abs() * slack + 1e-6;
+            assert!((planar - exact).abs() <= bound, "planar {planar} exact {exact}");
         }
     }
 
@@ -304,52 +268,47 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_traces_match_aos_handling() {
+    fn degenerate_traces_carry_the_envelope_projection_and_infinite_slack() {
         let polar = Trace::from_points(vec![pt(0, 89.5, 10.0), pt(1, 89.5, 11.0)]);
         let antimeridian = Trace::from_points(vec![pt(0, 0.0, -179.9), pt(1, 0.0, 179.9)]);
         for tr in [polar, antimeridian] {
-            let aos = ProjectedTrace::project(&tr);
+            let Envelope::Degenerate { projection } = envelope(tr.points()) else {
+                panic!("envelope must classify the trace as degenerate");
+            };
             let soa = SoaProjectedTrace::project(&tr);
             assert!(soa.slack_per_east_meter().is_infinite());
-            assert_eq!(
-                aos.projection().anchor(),
-                soa.projection().anchor(),
-                "degenerate anchor must match"
-            );
-            for (i, p) in aos.points().iter().enumerate() {
-                assert_points_bitwise_eq(*p, soa.point(i), &format!("point {i}"));
-            }
+            assert_eq!(projection.anchor(), soa.projection().anchor(), "degenerate anchor");
+            assert!(soa.xs().iter().chain(soa.ys()).all(|&v| v == 0.0));
+            assert_eq!(trace_points(soa.iter()), tr.points().to_vec());
         }
     }
 
     #[test]
-    fn sampled_view_matches_aos_view() {
+    fn sampled_view_matches_owned_downsample() {
         let tr = city_trace();
-        let aos = ProjectedTrace::project(&tr);
         let soa = SoaProjectedTrace::project(&tr);
         for interval in [1, 60, 7200] {
+            let owned = sampling::downsample(&tr, Seconds::new(interval));
             let indices = sampling::downsample_indices(&tr, Seconds::new(interval));
-            let a: Vec<ProjectedPoint> = aos.sampled(&indices).collect();
-            let s: Vec<ProjectedPoint> = soa.sampled(&indices).collect();
-            assert_eq!(a.len(), s.len());
-            for (x, y) in a.into_iter().zip(s) {
-                assert_points_bitwise_eq(x, y, &format!("interval {interval}"));
-            }
+            assert_eq!(
+                trace_points(soa.sampled(&indices)),
+                owned.points().to_vec(),
+                "interval {interval}"
+            );
         }
     }
 
     #[test]
-    fn rotated_view_matches_aos_view() {
+    fn rotated_view_matches_owned_rotation() {
         let tr = city_trace();
-        let aos = ProjectedTrace::project(&tr);
         let soa = SoaProjectedTrace::project(&tr);
         for start in [0, 1, 57, 199] {
-            let a: Vec<ProjectedPoint> = aos.rotated_from(start).collect();
-            let s: Vec<ProjectedPoint> = soa.rotated_from(start).collect();
-            assert_eq!(a.len(), s.len());
-            for (x, y) in a.into_iter().zip(s) {
-                assert_points_bitwise_eq(x, y, &format!("start {start}"));
-            }
+            let owned = sampling::rotate_to_start(&tr, start);
+            assert_eq!(
+                trace_points(soa.rotated_from(start)),
+                owned.points().to_vec(),
+                "start {start}"
+            );
         }
     }
 

@@ -13,7 +13,6 @@ use std::collections::HashMap;
 
 /// Summary mobility statistics of one trace.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MobilityStats {
     /// Number of fixes.
     pub fixes: usize,

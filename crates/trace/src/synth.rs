@@ -31,7 +31,6 @@ use rand::{Rng, SeedableRng};
 
 /// What role a place plays in a user's life.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PlaceKind {
     /// Where the user sleeps; visited daily.
     Home,
@@ -43,7 +42,6 @@ pub enum PlaceKind {
 
 /// A place a synthetic user frequents.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Place {
     /// Index into the user's place list.
     pub id: usize,
@@ -55,7 +53,6 @@ pub struct Place {
 
 /// A ground-truth visit: the user was at `place` from `arrive` to `depart`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TrueVisit {
     /// Index of the visited place in [`UserTrace::places`].
     pub place: usize,
@@ -78,7 +75,6 @@ impl TrueVisit {
 /// A generated user: their places, the recorded trace, and the ground-truth
 /// visit log.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct UserTrace {
     /// Stable user identifier (the generation index).
     pub user_id: u32,
@@ -96,7 +92,6 @@ pub struct UserTrace {
 /// the paper's evaluation (182 users); [`SynthConfig::small`] is a
 /// milliseconds-fast configuration for tests and examples.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SynthConfig {
     /// Number of users to generate.
     pub n_users: u32,

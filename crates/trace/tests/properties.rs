@@ -3,7 +3,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test/bench/example target: panics are failures by design
 
 use backwatch_geo::{LatLon, Seconds};
-use backwatch_trace::{sampling, synth, ProjectedTrace, Timestamp, Trace, TracePoint};
+use backwatch_trace::{sampling, synth, SoaProjectedTrace, Timestamp, Trace, TracePoint};
 use proptest::prelude::*;
 
 fn arb_trace() -> impl Strategy<Value = Trace> {
@@ -111,7 +111,7 @@ proptest! {
         // traces included — arb_trace generates 0..120 points).
         let interval = [1i64, 60, 7200][pick];
         let owned = sampling::downsample(&trace, Seconds::new(interval));
-        let projected = ProjectedTrace::project(&trace);
+        let projected = SoaProjectedTrace::project(&trace);
         let indices = sampling::downsample_indices(&trace, Seconds::new(interval));
         let view: Vec<_> = projected.sampled(&indices).collect();
         prop_assert_eq!(view.len(), owned.len());
@@ -125,7 +125,7 @@ proptest! {
     fn rotated_view_equals_owned_rotation(trace in arb_trace(), start_frac in 0.0f64..1.0) {
         let start = if trace.len() < 2 { 0 } else { ((trace.len() - 1) as f64 * start_frac) as usize };
         let owned = sampling::rotate_to_start(&trace, start);
-        let projected = ProjectedTrace::project(&trace);
+        let projected = SoaProjectedTrace::project(&trace);
         let view: Vec<_> = projected.rotated_from(start).collect();
         prop_assert_eq!(view.len(), owned.len());
         for (v, p) in view.iter().zip(owned.iter()) {

@@ -1,6 +1,8 @@
 //! The planar fast path must be invisible: extracting stays through
-//! [`ProjectedTrace`] — full rate, downsampled, or rotated — yields
-//! *bit-identical* results to the lat/lon pipeline, under both metrics.
+//! [`SoaProjectedTrace`] — full rate, downsampled, or rotated — yields
+//! *bit-identical* results to the lat/lon oracle
+//! ([`SpatioTemporalExtractor::extract`] on the owned trace), under both
+//! metrics.
 //!
 //! This holds by construction, not by luck: the planar check only decides
 //! a comparison when it is farther than a certified error bound from the
@@ -13,12 +15,10 @@
 use backwatch::geo::distance::{equirectangular, haversine, Metric};
 use backwatch::geo::enu::Frame;
 use backwatch::geo::{bearing, Degrees, LatLon, Meters, Seconds};
-use backwatch::model::poi::{
-    Checkpoint, ExtractorParams, PlanarCtx, SoaStreamingExtractor, SpatioTemporalExtractor, Stay, StreamingExtractor,
-};
+use backwatch::model::poi::{Checkpoint, ExtractorParams, PlanarCtx, SpatioTemporalExtractor, Stay, StreamingExtractor};
 use backwatch::trace::sampling;
 use backwatch::trace::synth::{generate_user, SynthConfig};
-use backwatch::trace::{ProjectedPoint, ProjectedTrace, SoaProjectedTrace, Timestamp, Trace, TracePoint};
+use backwatch::trace::{ProjectedPoint, SoaProjectedTrace, Timestamp, Trace, TracePoint};
 use proptest::prelude::*;
 
 fn params_with(metric: Metric) -> ExtractorParams {
@@ -35,11 +35,11 @@ fn projected_full_extraction_is_bit_identical() {
     let cfg = SynthConfig::small();
     for seed in 0..4 {
         let user = generate_user(&cfg, seed);
-        let projected = ProjectedTrace::project(&user.trace);
+        let soa = SoaProjectedTrace::project(&user.trace);
         for metric in METRICS {
             let extractor = SpatioTemporalExtractor::new(params_with(metric));
             let exact = extractor.extract(&user.trace);
-            let planar = extractor.extract_projected(&projected);
+            let planar = extractor.extract_soa(&soa);
             assert_eq!(exact, planar, "metric {metric:?}, user {seed}");
             assert!(!exact.is_empty(), "user {seed} produced no stays");
         }
@@ -51,14 +51,14 @@ fn sampled_extraction_is_bit_identical_at_every_interval() {
     let cfg = SynthConfig::small();
     for seed in 0..3 {
         let user = generate_user(&cfg, seed);
-        let projected = ProjectedTrace::project(&user.trace);
+        let soa = SoaProjectedTrace::project(&user.trace);
         for metric in METRICS {
             let extractor = SpatioTemporalExtractor::new(params_with(metric));
             for interval in [1, 60, 7200] {
                 let owned = sampling::downsample(&user.trace, Seconds::new(interval));
                 let exact = extractor.extract(&owned);
                 let indices = sampling::downsample_indices(&user.trace, Seconds::new(interval));
-                let planar = extractor.extract_sampled(&projected, &indices);
+                let planar = extractor.extract_sampled_soa(&soa, &indices);
                 assert_eq!(exact, planar, "metric {metric:?}, user {seed}, interval {interval}");
             }
         }
@@ -146,66 +146,65 @@ fn fnv_digest(stays: &[backwatch::model::poi::Stay]) -> u64 {
 fn rotated_extraction_is_bit_identical() {
     let cfg = SynthConfig::small();
     let user = generate_user(&cfg, 3);
-    let projected = ProjectedTrace::project(&user.trace);
+    let soa = SoaProjectedTrace::project(&user.trace);
     for metric in METRICS {
         let extractor = SpatioTemporalExtractor::new(params_with(metric));
         for start in [0, 1, user.trace.len() / 2, user.trace.len() - 1] {
             let owned = sampling::rotate_to_start(&user.trace, start);
             let exact = extractor.extract(&owned);
-            let planar = extractor.extract_rotated(&projected, start);
+            let planar = extractor.extract_rotated_soa(&soa, start);
             assert_eq!(exact, planar, "metric {metric:?}, start {start}");
         }
     }
 }
 
-/// The SoA column layout must be as invisible as the planar path itself:
-/// full, sampled, and rotated extraction through [`SoaProjectedTrace`]
-/// are bit-identical to the AoS planar pipeline (and hence, by the tests
-/// above, to the lat/lon oracle), under both metrics.
+/// One projection serves every view under every Table III parameter set,
+/// as in the experiment pipeline: full, sampled, and rotated planar
+/// extraction all equal the lat/lon oracle on the owned trace.
 #[test]
 fn soa_extraction_is_bit_identical_everywhere() {
     let cfg = SynthConfig::small();
-    for seed in 0..3 {
+    for seed in 0..2 {
         let user = generate_user(&cfg, seed);
-        let projected = ProjectedTrace::project(&user.trace);
         let soa = SoaProjectedTrace::project(&user.trace);
-        for metric in METRICS {
-            let extractor = SpatioTemporalExtractor::new(params_with(metric));
-            assert_eq!(
-                extractor.extract_projected(&projected),
-                extractor.extract_soa(&soa),
-                "full, metric {metric:?}, user {seed}"
-            );
-            for interval in [1, 60, 7200] {
-                let indices = sampling::downsample_indices(&user.trace, Seconds::new(interval));
+        for params in ExtractorParams::table3_sets() {
+            for metric in METRICS {
+                let extractor = SpatioTemporalExtractor::new(ExtractorParams { metric, ..params });
                 assert_eq!(
-                    extractor.extract_sampled(&projected, &indices),
-                    extractor.extract_sampled_soa(&soa, &indices),
-                    "interval {interval}, metric {metric:?}, user {seed}"
+                    extractor.extract(&user.trace),
+                    extractor.extract_soa(&soa),
+                    "full, {params:?}, metric {metric:?}, user {seed}"
                 );
-            }
-            for start in [0, user.trace.len() / 3, user.trace.len() - 1] {
+                for interval in [1, 60, 7200] {
+                    let owned = sampling::downsample(&user.trace, Seconds::new(interval));
+                    let indices = sampling::downsample_indices(&user.trace, Seconds::new(interval));
+                    assert_eq!(
+                        extractor.extract(&owned),
+                        extractor.extract_sampled_soa(&soa, &indices),
+                        "interval {interval}, {params:?}, metric {metric:?}, user {seed}"
+                    );
+                }
+                let start = user.trace.len() / 3;
                 assert_eq!(
-                    extractor.extract_rotated(&projected, start),
+                    extractor.extract(&sampling::rotate_to_start(&user.trace, start)),
                     extractor.extract_rotated_soa(&soa, start),
-                    "start {start}, metric {metric:?}, user {seed}"
+                    "start {start}, {params:?}, metric {metric:?}, user {seed}"
                 );
             }
         }
     }
 }
 
-/// The chunked SoA kernel lands on the same golden digest as the scalar
-/// pipeline — both through batch extraction and through the SoA streaming
-/// engine driven point-at-a-time.
+/// The planar path lands on the same golden digest as the lat/lon
+/// oracle — both through batch extraction and through a planar streaming
+/// engine driven point-at-a-time with a checkpoint/resume split.
 #[test]
 fn soa_extraction_matches_golden_digest() {
     let user = generate_user(&SynthConfig::small(), 0);
-    let projected = ProjectedTrace::project(&user.trace);
     let soa = SoaProjectedTrace::project(&user.trace);
     for metric in METRICS {
-        let extractor = SpatioTemporalExtractor::new(params_with(metric));
-        let stays = extractor.extract_soa(&soa);
+        let params = params_with(metric);
+        let stays = SpatioTemporalExtractor::new(params).extract_soa(&soa);
         assert_eq!(stays.len(), 7, "SoA stay count drifted under {metric:?}");
         assert_eq!(
             fnv_digest(&stays),
@@ -214,31 +213,20 @@ fn soa_extraction_matches_golden_digest() {
         );
 
         let ctx = PlanarCtx::for_soa(&soa, metric);
-        let mut engine = SoaStreamingExtractor::new(params_with(metric));
-        let mut streamed: Vec<Stay> = soa.iter().filter_map(|p| engine.push_with(p, &ctx)).collect();
+        let split = soa.len() / 2;
+        let mut engine: StreamingExtractor<ProjectedPoint> = StreamingExtractor::new(params);
+        let mut streamed: Vec<Stay> = soa.iter().take(split).filter_map(|p| engine.push_with(p, &ctx)).collect();
+        let cp = Checkpoint::from_bytes(&engine.checkpoint().to_bytes()).expect("checkpoint bytes round-trip");
+        let mut engine: StreamingExtractor<ProjectedPoint> = StreamingExtractor::resume(&cp).expect("checkpoint resumes");
+        streamed.extend(soa.iter().skip(split).filter_map(|p| engine.push_with(p, &ctx)));
         streamed.extend(engine.finish());
         assert_eq!(
             fnv_digest(&streamed),
             0x4a45_fe8a_af42_79f8,
             "SoA streaming digest drifted under {metric:?}"
         );
-        let (chunks, tail) = ctx.simd_counts();
-        assert!(chunks > 0, "chunked kernel never ran under {metric:?}");
-        assert!(tail > 0, "scalar prologue/tail never ran under {metric:?}");
         let (certified, refined) = ctx.decision_counts();
         assert!(certified + refined > 0, "no planar decisions recorded under {metric:?}");
-        // The decision tallies also fold in the visit-coverage checks the
-        // state machine runs outside the window kernel, so the only sound
-        // cross-check is against the scalar engine run over the same
-        // stream: identical decisions, and no SoA kernel counters touched.
-        let (scalar_stays, scalar_ctx) = stream_scalar(params_with(metric), &projected);
-        assert_eq!(fnv_digest(&scalar_stays), 0x4a45_fe8a_af42_79f8);
-        assert_eq!(
-            scalar_ctx.decision_counts(),
-            (certified, refined),
-            "decision tallies diverged from the scalar oracle under {metric:?}"
-        );
-        assert_eq!(scalar_ctx.simd_counts(), (0, 0));
     }
 }
 
@@ -286,19 +274,11 @@ fn build_trace(steps: &[Step]) -> Trace {
     Trace::from_points(pts)
 }
 
-/// Streams every point of `projected`-layout data through an engine with
-/// its own [`PlanarCtx`], returning the stays and the ctx for tallies.
-fn stream_scalar(params: ExtractorParams, projected: &ProjectedTrace) -> (Vec<Stay>, PlanarCtx) {
-    let ctx = PlanarCtx::new(projected, params.metric);
-    let mut engine: StreamingExtractor<ProjectedPoint> = StreamingExtractor::new(params);
-    let mut stays: Vec<Stay> = projected.points().iter().filter_map(|p| engine.push_with(*p, &ctx)).collect();
-    stays.extend(engine.finish());
-    (stays, ctx)
-}
-
+/// Streams every fix of `soa` through a planar engine with its own
+/// [`PlanarCtx`], returning the stays and the ctx for tallies.
 fn stream_soa(params: ExtractorParams, soa: &SoaProjectedTrace) -> (Vec<Stay>, PlanarCtx) {
     let ctx = PlanarCtx::for_soa(soa, params.metric);
-    let mut engine = SoaStreamingExtractor::new(params);
+    let mut engine: StreamingExtractor<ProjectedPoint> = StreamingExtractor::new(params);
     let mut stays: Vec<Stay> = soa.iter().filter_map(|p| engine.push_with(p, &ctx)).collect();
     stays.extend(engine.finish());
     (stays, ctx)
@@ -308,30 +288,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Differential suite: on adversarially random traces, for every
-    /// Table III parameter set, the chunked SoA kernel produces the same
-    /// stays AND the same certified/refined decision tallies as the
-    /// scalar oracle — the filter must not merely agree on outcomes, it
-    /// must take the identical certify-vs-refine branch on every window
-    /// evaluation.
+    /// Table III parameter set, batch and streaming planar extraction
+    /// produce exactly the stays of the lat/lon oracle, and the planar
+    /// filter actually decided the comparisons (certified or refined).
     #[test]
     fn soa_differential_matches_scalar_oracle(steps in prop::collection::vec(arb_step(), 0..400)) {
         let trace = build_trace(&steps);
-        let projected = ProjectedTrace::project(&trace);
         let soa = SoaProjectedTrace::project(&trace);
         for params in ExtractorParams::table3_sets() {
-            let batch = SpatioTemporalExtractor::new(params).extract(&trace);
-            let (scalar_stays, scalar_ctx) = stream_scalar(params, &projected);
-            let (soa_stays, soa_ctx) = stream_soa(params, &soa);
-            prop_assert_eq!(&batch, &scalar_stays, "scalar planar vs oracle, params {:?}", params);
-            prop_assert_eq!(&scalar_stays, &soa_stays, "SoA vs scalar stays, params {:?}", params);
-            prop_assert_eq!(
-                scalar_ctx.decision_counts(),
-                soa_ctx.decision_counts(),
-                "certified/refined tallies diverged, params {:?}",
-                params
-            );
-            // The kernel-shape tallies are exclusive to the SoA path.
-            prop_assert_eq!(scalar_ctx.simd_counts(), (0, 0));
+            let extractor = SpatioTemporalExtractor::new(params);
+            let oracle = extractor.extract(&trace);
+            prop_assert_eq!(&oracle, &extractor.extract_soa(&soa), "batch SoA vs oracle, params {:?}", params);
+            let (streamed, ctx) = stream_soa(params, &soa);
+            prop_assert_eq!(&oracle, &streamed, "streamed SoA vs oracle, params {:?}", params);
+            let (certified, refined) = ctx.decision_counts();
+            prop_assert!(trace.is_empty() || certified + refined > 0, "no planar decisions, params {:?}", params);
         }
     }
 }
