@@ -13,7 +13,8 @@
 //! change needed. Directive lines start with `#`, which the grammar
 //! treats as comments, so the full file (directives included) is fed to
 //! `parse`. A second optional `#class:` directive carries the expected
-//! reachability class, and a third optional `#taint:` directive (plus
+//! reachability class (with a `#providers:` directive naming the
+//! inferred provider set), and an optional `#taint:` directive (plus
 //! `#taint-sdk: shared` to compose the shared SDK fragment) the expected
 //! taint class; they are consumed by the market crate's `reach_corpus`
 //! and `taint_corpus` tests, not here.

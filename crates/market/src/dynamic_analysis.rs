@@ -79,6 +79,14 @@ impl Default for Protocol {
     }
 }
 
+/// The device's current listener table, read back through the rendered
+/// `dumpsys` text. A report that fails to parse reads as no listeners;
+/// `dumpsys::parse` has already counted it in
+/// `android.dumpsys.parse_errors_total`.
+fn read_dumpsys(device: &Device) -> Vec<dumpsys::ListenerEntry> {
+    dumpsys::parse(&dumpsys::render(device)).unwrap_or_default()
+}
+
 /// Runs the protocol on a single app, on a fresh device.
 ///
 /// Apps whose registration attempt throws the simulated
@@ -98,7 +106,7 @@ pub fn analyze_app(entry: &MarketApp, protocol: Protocol) -> DynamicObservation 
     let launched = device.launch(id).is_ok();
     if launched {
         device.advance(protocol.settle_s);
-        let entries = dumpsys::parse(&dumpsys::render(&device)).expect("our own dumpsys output parses");
+        let entries = read_dumpsys(&device);
         if !entries.is_empty() {
             functional = true;
             auto_start = true;
@@ -108,7 +116,7 @@ pub fn analyze_app(entry: &MarketApp, protocol: Protocol) -> DynamicObservation 
         // Phase 2: if silent, poke it like a user would.
         if !functional && device.trigger_location_use(id).is_ok() {
             device.advance(protocol.trigger_s);
-            let entries = dumpsys::parse(&dumpsys::render(&device)).expect("our own dumpsys output parses");
+            let entries = read_dumpsys(&device);
             if !entries.is_empty() {
                 functional = true;
                 providers.extend(entries.iter().map(|e| e.provider));
@@ -121,7 +129,7 @@ pub fn analyze_app(entry: &MarketApp, protocol: Protocol) -> DynamicObservation 
     let mut bg_interval_s = None;
     if launched && device.move_to_background(id).is_ok() {
         device.advance(protocol.background_s);
-        let entries = dumpsys::parse(&dumpsys::render(&device)).expect("our own dumpsys output parses");
+        let entries = read_dumpsys(&device);
         let bg_entries: Vec<_> = entries.iter().filter(|e| e.background).collect();
         if !bg_entries.is_empty() {
             background = true;

@@ -19,6 +19,15 @@
 //! signatures, which lets the analysis rebuild Table I without running a
 //! single app. Soundness caveats (reflection, ICC) are in DESIGN.md §10.
 //!
+//! This module holds the only reachability engine: a worklist BFS over
+//! per-class [`ClassSummary`] facts (`ReachView::explore`) and one
+//! `classify` step that buckets entry points, gates, and infers
+//! providers. The uncached oracle ([`analyze_entry`], [`analyze`])
+//! summarizes every class afresh; the cached sweep
+//! ([`crate::summary::analyze_entry_cached`]) feeds the same engine
+//! cache-resident summaries plus a folded SDK fragment. Every
+//! `market.reach.*` classification counter has one bump site here.
+//!
 //! Like the other two measurement channels (manifest XML, dumpsys text),
 //! the analysis consumes the *serialized* IR: each lowered program is
 //! rendered to text and parsed back before being analyzed, and programs
@@ -28,11 +37,12 @@
 use crate::corpus::{MarketApp, ProviderCombo};
 use crate::sdk::SdkLib;
 use crate::stats::ProviderTable;
+use crate::summary::{summarize_class, ClassSummary, FragReach, FragmentSummary, MethodSummary};
 use backwatch_android::app::{App, ComponentKind, Manifest};
 use backwatch_android::ir::{self, IrInstr, IrProgram};
 use backwatch_android::permission::{LocationClaim, Permission};
 use backwatch_android::provider::ProviderKind;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 
 /// The four classes the static analyzer assigns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -88,8 +98,6 @@ pub struct ProgramAnalysis {
     pub class: ReachClass,
     /// Providers inferred from reachable sink call sites.
     pub providers: BTreeSet<ProviderKind>,
-    /// Methods reached by the worklist pass, over all entry points.
-    pub reachable_methods: usize,
     /// Declared components whose class is absent from the program.
     pub missing_components: usize,
 }
@@ -133,6 +141,31 @@ pub struct ReachReport {
 }
 
 impl ReachReport {
+    /// Aggregates per-app findings (in corpus order) into the funnel and
+    /// Table I — the one aggregation the oracle sweep and the cached
+    /// sweep's [`crate::sweep::SweepResult::report`] share.
+    #[must_use]
+    pub(crate) fn from_findings(findings: Vec<ReachFinding>, parse_failures: usize) -> Self {
+        let mut cells: BTreeMap<(LocationClaim, ProviderCombo), usize> = BTreeMap::new();
+        let mut unclassified = 0usize;
+        for f in findings.iter().filter(|f| f.class.accesses_in_background()) {
+            match f.combo {
+                Some(combo) => *cells.entry((f.claim, combo)).or_insert(0) += 1,
+                None => unclassified += 1,
+            }
+        }
+        Self {
+            total: findings.len(),
+            declaring: findings.iter().filter(|f| f.claim.declares_location()).count(),
+            functional: findings.iter().filter(|f| f.class != ReachClass::NonAccessor).count(),
+            background: findings.iter().filter(|f| f.class.accesses_in_background()).count(),
+            auto_start: findings.iter().filter(|f| f.class == ReachClass::AutoStart).count(),
+            table1: ProviderTable::from_cells(cells, unclassified),
+            parse_failures,
+            findings,
+        }
+    }
+
     /// Count of apps assigned `class`.
     #[must_use]
     pub fn class_count(&self, class: ReachClass) -> usize {
@@ -140,103 +173,107 @@ impl ReachReport {
     }
 }
 
-/// Worklist BFS from `entries` over the program's call edges. Returns the
-/// set of reached `(class, method)` pairs. Cycles are handled by the
-/// visited set; edges into classes the program does not define (framework
-/// calls, including the sinks themselves) are not traversed.
-fn reachable_from(program: &IrProgram, entries: &[(String, String)]) -> BTreeSet<(String, String)> {
-    let mut bodies: BTreeMap<(&str, &str), &[IrInstr]> = BTreeMap::new();
-    for class in &program.classes {
-        for method in &class.methods {
-            bodies.insert((class.name.as_str(), method.name.as_str()), &method.instrs);
+/// The worklist surface: summarized methods by id, plus an optional
+/// shared-library fragment folded as precomputed transitive facts. The
+/// oracle builds it from freshly summarized classes with no fragment
+/// (the fragment's classes are composed inline); the cached sweep builds
+/// it from cache-resident summaries and folds the [`FragmentSummary`].
+pub(crate) struct ReachView<'a> {
+    ids: HashMap<(&'a str, &'a str), usize>,
+    methods: Vec<&'a MethodSummary>,
+    classes: HashSet<&'a str>,
+    fragment: Option<&'a FragmentSummary>,
+}
+
+impl<'a> ReachView<'a> {
+    pub(crate) fn new(summaries: impl IntoIterator<Item = &'a ClassSummary>, fragment: Option<&'a FragmentSummary>) -> Self {
+        let mut ids = HashMap::new();
+        let mut methods = Vec::new();
+        let mut classes = HashSet::new();
+        for class in summaries {
+            classes.insert(class.name.as_str());
+            for (name, ms) in &class.methods {
+                ids.insert((class.name.as_str(), name.as_str()), methods.len());
+                methods.push(ms);
+            }
+        }
+        Self {
+            ids,
+            methods,
+            classes,
+            fragment,
         }
     }
-    let mut visited: BTreeSet<(String, String)> = BTreeSet::new();
-    let mut queue: VecDeque<(String, String)> = VecDeque::new();
-    for (c, m) in entries {
-        if bodies.contains_key(&(c.as_str(), m.as_str())) && visited.insert((c.clone(), m.clone())) {
-            queue.push_back((c.clone(), m.clone()));
+
+    fn defines_class(&self, class: &str) -> bool {
+        self.classes.contains(class) || self.fragment.is_some_and(|f| f.defines_class(class))
+    }
+
+    /// Seeds or traverses one call target: summarized methods enter the
+    /// BFS, fragment methods fold their precomputed transitive facts,
+    /// everything else is a framework edge (the sinks included) and stops.
+    fn touch(&self, class: &str, method: &str, visited: &mut [bool], queue: &mut VecDeque<usize>, found: &mut FragReach) {
+        if let Some(&id) = self.ids.get(&(class, method)) {
+            if let Some(slot) = visited.get_mut(id) {
+                if !*slot {
+                    *slot = true;
+                    queue.push_back(id);
+                }
+            }
+        } else if let Some(reach) = self.fragment.and_then(|f| f.reach(class, method)) {
+            found.sink |= reach.sink;
+            found.providers.extend(reach.providers.iter().copied());
         }
     }
-    while let Some((c, m)) = queue.pop_front() {
-        let Some(instrs) = bodies.get(&(c.as_str(), m.as_str())) else {
-            continue;
+
+    /// Worklist BFS from `entries` with a visited set (so call cycles
+    /// terminate): does any reached method invoke a sink, and which
+    /// providers do the reached sink call sites evidence — provider-named
+    /// string constants beside a `LocationManager` sink, plus the fused
+    /// provider for a fused-client sink.
+    pub(crate) fn explore(&self, entries: &[(String, String)]) -> FragReach {
+        let mut found = FragReach {
+            sink: false,
+            providers: BTreeSet::new(),
         };
-        for instr in *instrs {
-            if let IrInstr::Invoke { class, method } = instr {
-                if bodies.contains_key(&(class.as_str(), method.as_str())) && visited.insert((class.clone(), method.clone())) {
-                    queue.push_back((class.clone(), method.clone()));
-                }
+        let mut visited = vec![false; self.methods.len()];
+        let mut queue = VecDeque::new();
+        for (class, method) in entries {
+            self.touch(class, method, &mut visited, &mut queue, &mut found);
+        }
+        while let Some(id) = queue.pop_front() {
+            let Some(&ms) = self.methods.get(id) else { continue };
+            if ms.manager_sink {
+                found.sink = true;
+                found.providers.extend(ms.const_providers.iter().copied());
+            }
+            if ms.fused_sink {
+                found.sink = true;
+                found.providers.insert(ProviderKind::Fused);
+            }
+            for (class, method) in &ms.callees {
+                self.touch(class, method, &mut visited, &mut queue, &mut found);
             }
         }
+        found
     }
-    visited
 }
 
-/// Whether any reached method invokes a location sink.
-fn reaches_sink(program: &IrProgram, reached: &BTreeSet<(String, String)>) -> bool {
-    program.classes.iter().any(|c| {
-        c.methods.iter().any(|m| {
-            reached.contains(&(c.name.clone(), m.name.clone()))
-                && m.instrs
-                    .iter()
-                    .any(|i| matches!(i, IrInstr::Invoke { class, method } if ir::is_sink(class, method)))
-        })
-    })
-}
-
-/// Infers the provider set from the reached methods: provider-named
-/// string constants in methods that invoke a `LocationManager` sink, plus
-/// the fused provider whenever a fused-client sink is invoked.
-fn infer_providers(program: &IrProgram, reached: &BTreeSet<(String, String)>) -> BTreeSet<ProviderKind> {
-    let mut providers = BTreeSet::new();
-    for class in &program.classes {
-        for method in &class.methods {
-            if !reached.contains(&(class.name.clone(), method.name.clone())) {
-                continue;
-            }
-            let mut manager_sink = false;
-            let mut fused_sink = false;
-            for instr in &method.instrs {
-                if let IrInstr::Invoke { class: c, method: m } = instr {
-                    if ir::is_sink(c, m) {
-                        manager_sink |= c == ir::LOCATION_MANAGER_CLASS;
-                        fused_sink |= c == ir::FUSED_CLIENT_CLASS;
-                    }
-                }
-            }
-            if manager_sink {
-                for instr in &method.instrs {
-                    if let IrInstr::ConstString(s) = instr {
-                        if let Ok(p) = s.parse::<ProviderKind>() {
-                            providers.insert(p);
-                        }
-                    }
-                }
-            }
-            if fused_sink {
-                providers.insert(ProviderKind::Fused);
-            }
-        }
-    }
-    providers
-}
-
-/// Analyzes one program against its manifest: entry-point discovery,
-/// reachability, classification, provider inference.
-#[must_use]
-pub fn analyze_program(manifest: &Manifest, program: &IrProgram) -> ProgramAnalysis {
-    crate::obs::register();
+/// Classifies one app over a view: buckets the manifest's entry points by
+/// the lifecycle that invokes them, applies the permission gate and the
+/// class precedence, and infers providers. The only place
+/// `market.reach.{apps_classified,background_apps,missing_components}_total`
+/// advance, so the oracle and the cached sweep move them identically by
+/// construction.
+pub(crate) fn classify(manifest: &Manifest, view: &ReachView<'_>) -> ProgramAnalysis {
     let mut missing_components = 0usize;
-
-    // Entry points, bucketed by the lifecycle that invokes them.
     let mut activity_entries: Vec<(String, String)> = Vec::new();
     let mut service_entries: Vec<(String, String)> = Vec::new();
     let mut boot_entries: Vec<(String, String)> = Vec::new();
     let boot_permitted = manifest.permissions().contains(&Permission::ReceiveBootCompleted);
     for component in manifest.components() {
         let class = component.class_path(manifest.package());
-        if program.class(&class).is_none() {
+        if !view.defines_class(&class) {
             missing_components += 1;
             crate::obs::REACH_MISSING_COMPONENTS.inc();
             continue;
@@ -257,32 +294,26 @@ pub fn analyze_program(manifest: &Manifest, program: &IrProgram) -> ProgramAnaly
     let class = if !manifest.location_claim().declares_location() {
         // the permission gate: reachable or not, registration would throw
         ReachClass::NonAccessor
+    } else if view.explore(&boot_entries).sink {
+        ReachClass::AutoStart
+    } else if view.explore(&service_entries).sink {
+        ReachClass::BackgroundCapable
+    } else if view.explore(&activity_entries).sink {
+        ReachClass::ForegroundOnly
     } else {
-        let boot = reachable_from(program, &boot_entries);
-        let service = reachable_from(program, &service_entries);
-        let activity = reachable_from(program, &activity_entries);
-        if reaches_sink(program, &boot) {
-            ReachClass::AutoStart
-        } else if reaches_sink(program, &service) {
-            ReachClass::BackgroundCapable
-        } else if reaches_sink(program, &activity) {
-            ReachClass::ForegroundOnly
-        } else {
-            ReachClass::NonAccessor
-        }
+        ReachClass::NonAccessor
     };
 
-    let all_entries: Vec<(String, String)> = activity_entries
-        .iter()
-        .chain(&service_entries)
-        .chain(&boot_entries)
-        .cloned()
-        .collect();
-    let reached = reachable_from(program, &all_entries);
     let providers = if class == ReachClass::NonAccessor {
         BTreeSet::new()
     } else {
-        infer_providers(program, &reached)
+        let all: Vec<(String, String)> = activity_entries
+            .iter()
+            .chain(&service_entries)
+            .chain(&boot_entries)
+            .cloned()
+            .collect();
+        view.explore(&all).providers
     };
     crate::obs::REACH_APPS_CLASSIFIED.inc();
     if class.accesses_in_background() {
@@ -291,9 +322,50 @@ pub fn analyze_program(manifest: &Manifest, program: &IrProgram) -> ProgramAnaly
     ProgramAnalysis {
         class,
         providers,
-        reachable_methods: reached.len(),
         missing_components,
     }
+}
+
+/// Turns an analysis into the app's finding, deriving the Table I
+/// combination — the only place `market.reach.unknown_combo_total`
+/// advances.
+pub(crate) fn finding(manifest: &Manifest, analysis: ProgramAnalysis) -> ReachFinding {
+    let provider_vec: Vec<ProviderKind> = analysis.providers.iter().copied().collect();
+    let combo = ProviderCombo::from_providers(&provider_vec);
+    if analysis.class != ReachClass::NonAccessor && combo.is_none() {
+        crate::obs::REACH_UNKNOWN_COMBO.inc();
+    }
+    ReachFinding {
+        package: manifest.package().to_owned(),
+        class: analysis.class,
+        claim: manifest.location_claim(),
+        providers: analysis.providers,
+        combo,
+    }
+}
+
+/// The finding for an app whose IR failed the text round-trip: a
+/// non-accessor, like a decompilation failure. The only place
+/// `market.reach.parse_failures_total` advances.
+pub(crate) fn unparsed(manifest: &Manifest) -> ReachFinding {
+    crate::obs::REACH_PARSE_FAILURES.inc();
+    finding(
+        manifest,
+        ProgramAnalysis {
+            class: ReachClass::NonAccessor,
+            providers: BTreeSet::new(),
+            missing_components: 0,
+        },
+    )
+}
+
+/// Analyzes one program against its manifest: summarize every class (no
+/// cache), then `classify` with no fragment fold.
+#[must_use]
+pub fn analyze_program(manifest: &Manifest, program: &IrProgram) -> ProgramAnalysis {
+    crate::obs::register();
+    let summaries: Vec<ClassSummary> = program.classes.iter().map(summarize_class).collect();
+    classify(manifest, &ReachView::new(&summaries, None))
 }
 
 /// Lowers a corpus entry's own code and, when it links the shared SDK,
@@ -337,15 +409,17 @@ pub fn analyze_entry(entry: &MarketApp) -> ReachFinding {
     analyze_entry_inner(entry).0
 }
 
-/// [`analyze_entry`] plus whether the IR text round-trip failed.
-pub(crate) fn analyze_entry_inner(entry: &MarketApp) -> (ReachFinding, bool) {
+/// [`analyze_entry`] plus the composed program's class summaries, `None`
+/// when the IR text round-trip failed. The fragment's classes are
+/// composed inline rather than folded as a [`FragmentSummary`], so the
+/// cached sweep's fold is checked against an independent composition.
+pub(crate) fn analyze_entry_inner(entry: &MarketApp) -> (ReachFinding, Option<Vec<ClassSummary>>) {
     crate::obs::register();
     let mut program = lower_with_sdk(entry);
     if let Some(sdk) = &entry.sdk {
         program.classes.extend(sdk.program().classes.iter().cloned());
     }
-    let (finding, parse_failed, _) = finish_app_analysis(entry.app.manifest(), &ir::render(&program));
-    (finding, parse_failed)
+    finish_app_analysis(entry.app.manifest(), &ir::render(&program))
 }
 
 /// Analyzes one app end to end: lower to IR, round-trip through the text
@@ -354,56 +428,24 @@ pub(crate) fn analyze_entry_inner(entry: &MarketApp) -> (ReachFinding, bool) {
 /// failure).
 #[must_use]
 pub fn analyze_app(app: &App) -> ReachFinding {
-    analyze_app_inner(app).0
-}
-
-/// [`analyze_app`] plus whether the IR text round-trip failed.
-fn analyze_app_inner(app: &App) -> (ReachFinding, bool) {
     crate::obs::register();
-    let (finding, parse_failed, _) = finish_app_analysis(app.manifest(), &ir::render(&ir::lower(app)));
-    (finding, parse_failed)
+    finish_app_analysis(app.manifest(), &ir::render(&ir::lower(app))).0
 }
 
 /// The shared tail of [`analyze_app`] and [`analyze_entry`]: parse the
-/// rendered IR text and classify it against the manifest. Also hands the
-/// parsed program back so the taint oracle can refine the finding
-/// without a second parse (and without a second chance to diverge).
-pub(crate) fn finish_app_analysis(manifest: &Manifest, text: &str) -> (ReachFinding, bool, Option<IrProgram>) {
-    let (analysis, parse_failed, parsed) = match ir::parse(text) {
+/// rendered IR text, summarize it without a cache, and classify it
+/// against the manifest. Also hands the summaries back (`None` on a
+/// parse failure) so the taint oracle replays the same per-method op
+/// streams without lowering the program a second time.
+fn finish_app_analysis(manifest: &Manifest, text: &str) -> (ReachFinding, Option<Vec<ClassSummary>>) {
+    match ir::parse(text) {
         Ok(program) => {
-            let analysis = analyze_program(manifest, &program);
-            (analysis, false, Some(program))
+            let summaries: Vec<ClassSummary> = program.classes.iter().map(summarize_class).collect();
+            let analysis = classify(manifest, &ReachView::new(&summaries, None));
+            (finding(manifest, analysis), Some(summaries))
         }
-        Err(_) => {
-            crate::obs::REACH_PARSE_FAILURES.inc();
-            (
-                ProgramAnalysis {
-                    class: ReachClass::NonAccessor,
-                    providers: BTreeSet::new(),
-                    reachable_methods: 0,
-                    missing_components: 0,
-                },
-                true,
-                None,
-            )
-        }
-    };
-    let provider_vec: Vec<ProviderKind> = analysis.providers.iter().copied().collect();
-    let combo = ProviderCombo::from_providers(&provider_vec);
-    if analysis.class != ReachClass::NonAccessor && combo.is_none() {
-        crate::obs::REACH_UNKNOWN_COMBO.inc();
+        Err(_) => (unparsed(manifest), None),
     }
-    (
-        ReachFinding {
-            package: manifest.package().to_owned(),
-            class: analysis.class,
-            claim: manifest.location_claim(),
-            providers: analysis.providers,
-            combo,
-        },
-        parse_failed,
-        parsed,
-    )
 }
 
 /// Sweeps the whole corpus and aggregates the static funnel + Table I.
@@ -414,34 +456,12 @@ pub fn analyze(corpus: &[MarketApp]) -> ReachReport {
     let findings: Vec<ReachFinding> = corpus
         .iter()
         .map(|e| {
-            let (f, failed) = analyze_entry_inner(e);
-            parse_failures += usize::from(failed);
+            let (f, summaries) = analyze_entry_inner(e);
+            parse_failures += usize::from(summaries.is_none());
             f
         })
         .collect();
-    let declaring = findings.iter().filter(|f| f.claim.declares_location()).count();
-    let functional = findings.iter().filter(|f| f.class != ReachClass::NonAccessor).count();
-    let background = findings.iter().filter(|f| f.class.accesses_in_background()).count();
-    let auto_start = findings.iter().filter(|f| f.class == ReachClass::AutoStart).count();
-
-    let mut cells: BTreeMap<(LocationClaim, ProviderCombo), usize> = BTreeMap::new();
-    let mut unclassified = 0usize;
-    for f in findings.iter().filter(|f| f.class.accesses_in_background()) {
-        match f.combo {
-            Some(combo) => *cells.entry((f.claim, combo)).or_insert(0) += 1,
-            None => unclassified += 1,
-        }
-    }
-    ReachReport {
-        total: findings.len(),
-        declaring,
-        functional,
-        background,
-        auto_start,
-        table1: ProviderTable::from_cells(cells, unclassified),
-        parse_failures,
-        findings,
-    }
+    ReachReport::from_findings(findings, parse_failures)
 }
 
 #[cfg(test)]

@@ -9,11 +9,18 @@
 //! per method, everything the reachability pass ever asks of a class —
 //! its call edges, whether it invokes a `LocationManager` or fused-client
 //! sink, and which provider string constants sit next to the manager
-//! sinks. [`analyze_entry_cached`] then rebuilds the oracle's worklist
-//! BFS over summaries instead of instruction streams, and the linked SDK
-//! fragment collapses further still: one [`FragmentSummary`] holds the
-//! *transitive* sink/provider facts for every fragment method, so a
-//! million apps embedding the fragment cost one fragment analysis total.
+//! sinks — plus the method's taint op stream.
+//!
+//! The reachability engine itself lives in [`crate::reach`] and is the
+//! same for both paths: the uncached oracle summarizes every class of
+//! the composed program afresh and explores with no fragment fold;
+//! [`analyze_entry_cached`] explores cache-resident summaries instead
+//! and folds the linked SDK as one [`FragmentSummary`] — the
+//! *transitive* sink/provider facts of every fragment method, computed
+//! by the same exploration once per fragment digest, so a million apps
+//! embedding the fragment cost one fragment analysis total. What this
+//! module adds is therefore exactly what caching adds: digest keying,
+//! bounded eviction, the fragment fold, and the app-level digest.
 //!
 //! Correctness contract: for every corpus entry, the finding returned
 //! here is bit-identical to [`crate::reach::analyze_entry`], and the
@@ -23,14 +30,12 @@
 //! discusses the FNV-vs-cryptographic-hash tradeoff.
 
 use crate::corpus::MarketApp;
-use crate::reach::{ReachClass, ReachFinding};
+use crate::reach::{self, ReachFinding, ReachView};
 use crate::sdk::SdkLib;
-use crate::taint::{self, FragTaint, TaintClass, TaintOp};
-use backwatch_android::app::{ComponentKind, Manifest};
+use crate::taint::{self, FragTaint, TaintClass, TaintOp, TaintView};
 use backwatch_android::ir::{self, IrClass, IrInstr};
-use backwatch_android::permission::Permission;
 use backwatch_android::provider::ProviderKind;
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// What the reachability pass needs to know about one method.
@@ -112,14 +117,15 @@ pub fn summarize_class(class: &IrClass) -> ClassSummary {
     }
 }
 
-/// Transitive reachability facts for one fragment method: what entering
-/// the fragment at this method can ever reach, precomputed so app
-/// analyses fold a constant instead of traversing fragment code.
+/// What one worklist exploration reaches. Stored per fragment method, it
+/// is what entering the fragment at that method can ever reach,
+/// precomputed so app analyses fold a constant instead of traversing
+/// fragment code.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FragReach {
-    /// A sink is reachable from this method within the fragment.
+    /// A sink is reachable from the explored entries.
     pub sink: bool,
-    /// Providers evidenced along those reachable fragment methods.
+    /// Providers evidenced by the reached sink call sites.
     pub providers: BTreeSet<ProviderKind>,
 }
 
@@ -144,51 +150,16 @@ pub struct FragmentSummary {
 impl FragmentSummary {
     fn build(sdk: &SdkLib) -> Self {
         let program = sdk.program();
-        // local per-method facts
-        let mut ids: HashMap<(String, String), usize> = HashMap::new();
-        let mut facts: Vec<(String, String, MethodSummary)> = Vec::new();
-        for class in &program.classes {
-            for method in &class.methods {
-                ids.insert((class.name.clone(), method.name.clone()), facts.len());
-                facts.push((class.name.clone(), method.name.clone(), summarize_method(&method.instrs)));
-            }
-        }
-        // transitive closure per method (the fragment is small; a BFS per
-        // method is simpler than SCC condensation and runs once ever)
+        let summaries: Vec<ClassSummary> = program.classes.iter().map(summarize_class).collect();
+        // the fragment is small: one exploration per method is simpler
+        // than SCC condensation and runs once per fragment digest
+        let view = ReachView::new(&summaries, None);
         let mut reach: HashMap<String, HashMap<String, FragReach>> = HashMap::new();
-        for (start, (class, method, _)) in facts.iter().enumerate() {
-            let mut sink = false;
-            let mut providers = BTreeSet::new();
-            let mut visited = vec![false; facts.len()];
-            let mut queue = VecDeque::from([start]);
-            if let Some(slot) = visited.get_mut(start) {
-                *slot = true;
+        for class in &summaries {
+            for (method, _) in &class.methods {
+                let facts = view.explore(&[(class.name.clone(), method.clone())]);
+                reach.entry(class.name.clone()).or_default().insert(method.clone(), facts);
             }
-            while let Some(id) = queue.pop_front() {
-                let Some((_, _, ms)) = facts.get(id) else { continue };
-                if ms.manager_sink {
-                    sink = true;
-                    providers.extend(ms.const_providers.iter().copied());
-                }
-                if ms.fused_sink {
-                    sink = true;
-                    providers.insert(ProviderKind::Fused);
-                }
-                for callee in &ms.callees {
-                    if let Some(&next) = ids.get(callee) {
-                        if let Some(slot) = visited.get_mut(next) {
-                            if !*slot {
-                                *slot = true;
-                                queue.push_back(next);
-                            }
-                        }
-                    }
-                }
-            }
-            reach
-                .entry(class.clone())
-                .or_default()
-                .insert(method.clone(), FragReach { sink, providers });
         }
         Self {
             digest: sdk.digest(),
@@ -386,188 +357,25 @@ fn digest_parts(own_wired: &ir::IrProgram, entry: &MarketApp) -> u64 {
 /// digest equality.
 #[must_use]
 pub fn app_digest(entry: &MarketApp) -> u64 {
-    digest_parts(&crate::reach::lower_with_sdk(entry), entry)
-}
-
-/// Worklist state over summaries: own methods by id, fragment folded as
-/// precomputed constants.
-struct World<'a> {
-    ids: HashMap<(&'a str, &'a str), usize>,
-    methods: Vec<&'a MethodSummary>,
-    own_classes: HashSet<&'a str>,
-    fragment: Option<&'a FragmentSummary>,
-}
-
-impl<'a> World<'a> {
-    fn new(summaries: &'a [Arc<ClassSummary>], fragment: Option<&'a FragmentSummary>) -> Self {
-        let mut ids = HashMap::new();
-        let mut methods = Vec::new();
-        let mut own_classes = HashSet::new();
-        for class in summaries {
-            own_classes.insert(class.name.as_str());
-            for (name, ms) in &class.methods {
-                ids.insert((class.name.as_str(), name.as_str()), methods.len());
-                methods.push(ms);
-            }
-        }
-        Self {
-            ids,
-            methods,
-            own_classes,
-            fragment,
-        }
-    }
-
-    fn defines_class(&self, class: &str) -> bool {
-        self.own_classes.contains(class) || self.fragment.is_some_and(|f| f.defines_class(class))
-    }
-
-    /// Seeds or traverses one call target: own methods enter the BFS,
-    /// fragment methods fold their precomputed transitive facts,
-    /// everything else is a framework edge and stops (exactly like the
-    /// oracle's bodies-only traversal).
-    fn touch(
-        &self,
-        class: &str,
-        method: &str,
-        visited: &mut [bool],
-        queue: &mut VecDeque<usize>,
-        sink: &mut bool,
-        providers: &mut BTreeSet<ProviderKind>,
-    ) {
-        if let Some(&id) = self.ids.get(&(class, method)) {
-            if let Some(slot) = visited.get_mut(id) {
-                if !*slot {
-                    *slot = true;
-                    queue.push_back(id);
-                }
-            }
-        } else if let Some(reach) = self.fragment.and_then(|f| f.reach(class, method)) {
-            *sink |= reach.sink;
-            providers.extend(reach.providers.iter().copied());
-        }
-    }
-
-    /// BFS from `entries`: does any reached method hit a sink, and what
-    /// provider evidence do the reached methods carry?
-    fn explore(&self, entries: &[(String, String)]) -> (bool, BTreeSet<ProviderKind>) {
-        let mut sink = false;
-        let mut providers = BTreeSet::new();
-        let mut visited = vec![false; self.methods.len()];
-        let mut queue = VecDeque::new();
-        for (class, method) in entries {
-            self.touch(class, method, &mut visited, &mut queue, &mut sink, &mut providers);
-        }
-        while let Some(id) = queue.pop_front() {
-            let Some(&ms) = self.methods.get(id) else { continue };
-            if ms.manager_sink {
-                sink = true;
-                providers.extend(ms.const_providers.iter().copied());
-            }
-            if ms.fused_sink {
-                sink = true;
-                providers.insert(ProviderKind::Fused);
-            }
-            for (class, method) in &ms.callees {
-                self.touch(class, method, &mut visited, &mut queue, &mut sink, &mut providers);
-            }
-        }
-        (sink, providers)
-    }
-}
-
-/// Mirror of the oracle's `analyze_program` + combo derivation, over
-/// summaries. Advances the same `market.reach.*` counters the oracle
-/// does, in the same cases.
-fn classify(manifest: &Manifest, world: &World<'_>) -> ReachFinding {
-    let mut activity_entries: Vec<(String, String)> = Vec::new();
-    let mut service_entries: Vec<(String, String)> = Vec::new();
-    let mut boot_entries: Vec<(String, String)> = Vec::new();
-    let boot_permitted = manifest.permissions().contains(&Permission::ReceiveBootCompleted);
-    for component in manifest.components() {
-        let class = component.class_path(manifest.package());
-        if !world.defines_class(&class) {
-            crate::obs::REACH_MISSING_COMPONENTS.inc();
-            continue;
-        }
-        let bucket: &mut Vec<(String, String)> = match component.kind {
-            ComponentKind::Activity => &mut activity_entries,
-            ComponentKind::Service => &mut service_entries,
-            ComponentKind::Receiver if component.is_boot_receiver() && boot_permitted => &mut boot_entries,
-            ComponentKind::Receiver => &mut activity_entries,
-        };
-        for m in ir::entry_methods(component.kind) {
-            bucket.push((class.clone(), (*m).to_owned()));
-        }
-    }
-
-    let class = if manifest.location_claim().declares_location() {
-        if world.explore(&boot_entries).0 {
-            ReachClass::AutoStart
-        } else if world.explore(&service_entries).0 {
-            ReachClass::BackgroundCapable
-        } else if world.explore(&activity_entries).0 {
-            ReachClass::ForegroundOnly
-        } else {
-            ReachClass::NonAccessor
-        }
-    } else {
-        ReachClass::NonAccessor
-    };
-
-    let providers = if class == ReachClass::NonAccessor {
-        BTreeSet::new()
-    } else {
-        let all: Vec<(String, String)> = activity_entries
-            .iter()
-            .chain(&service_entries)
-            .chain(&boot_entries)
-            .cloned()
-            .collect();
-        world.explore(&all).1
-    };
-    crate::obs::REACH_APPS_CLASSIFIED.inc();
-    if class.accesses_in_background() {
-        crate::obs::REACH_BACKGROUND_APPS.inc();
-    }
-    let provider_vec: Vec<ProviderKind> = providers.iter().copied().collect();
-    let combo = crate::corpus::ProviderCombo::from_providers(&provider_vec);
-    if class != ReachClass::NonAccessor && combo.is_none() {
-        crate::obs::REACH_UNKNOWN_COMBO.inc();
-    }
-    ReachFinding {
-        package: manifest.package().to_owned(),
-        class,
-        claim: manifest.location_claim(),
-        providers,
-        combo,
-    }
+    digest_parts(&reach::lower_with_sdk(entry), entry)
 }
 
 /// Cached counterpart of [`crate::reach::analyze_entry`]: same serialized
-/// own-code discipline (lower → render → parse), but the per-class walk
-/// composes cached summaries and the fragment folds as one precomputed
-/// summary. Returns the finding plus the app digest incremental sweeps
-/// key on.
+/// own-code discipline (lower → render → parse) and the same engine, but
+/// the summaries come from the cache and the fragment folds as one
+/// precomputed summary. Returns the finding plus the app digest
+/// incremental sweeps key on.
 #[must_use]
 pub fn analyze_entry_cached(entry: &MarketApp, cache: &SummaryCache) -> CachedAnalysis {
     crate::obs::register();
     let mut tally = CacheTally::default();
     let manifest = entry.app.manifest();
-    let own_wired = crate::reach::lower_with_sdk(entry);
+    let own_wired = reach::lower_with_sdk(entry);
     let app_digest = digest_parts(&own_wired, entry);
     let fragment = entry.sdk.as_ref().map(|sdk| cache.fragment_summary(sdk, &mut tally));
-    let text = ir::render(&own_wired);
-    let Ok(own) = ir::parse(&text) else {
-        crate::obs::REACH_PARSE_FAILURES.inc();
+    let Ok(own) = ir::parse(&ir::render(&own_wired)) else {
         return CachedAnalysis {
-            finding: ReachFinding {
-                package: manifest.package().to_owned(),
-                class: ReachClass::NonAccessor,
-                claim: manifest.location_claim(),
-                providers: BTreeSet::new(),
-                combo: None,
-            },
+            finding: reach::unparsed(manifest),
             taint: taint::record(TaintClass::NoAccess),
             parse_failed: true,
             tally,
@@ -575,16 +383,12 @@ pub fn analyze_entry_cached(entry: &MarketApp, cache: &SummaryCache) -> CachedAn
         };
     };
     let summaries: Vec<Arc<ClassSummary>> = own.classes.iter().map(|c| cache.class_summary(c, &mut tally)).collect();
-    let finding = classify(manifest, &World::new(&summaries, fragment.as_deref()));
-    // the taint pass replays the cached per-method op streams over the
-    // same view shape, folding the fragment's precomputed transfer table
-    let methods = summaries.iter().flat_map(|cs| {
-        cs.methods
-            .iter()
-            .map(|(m, ms)| (cs.name.as_str(), m.as_str(), ms.taint_ops.as_slice()))
-    });
-    let view = taint::TaintView::new(methods, fragment.as_deref().map(|f| &f.taint));
-    let taint = taint::classify_with_view(manifest, &view, finding.class);
+    let reach_view = ReachView::new(summaries.iter().map(Arc::as_ref), fragment.as_deref());
+    let finding = reach::finding(manifest, reach::classify(manifest, &reach_view));
+    // the taint pass replays the cached per-method op streams, folding
+    // the fragment's precomputed transfer table
+    let taint_view = TaintView::from_summaries(summaries.iter().map(Arc::as_ref), fragment.as_deref().map(|f| &f.taint));
+    let taint = taint::classify_with_view(manifest, &taint_view, finding.class);
     CachedAnalysis {
         finding,
         taint,

@@ -15,12 +15,13 @@
 //! snapshot's [`SweepResult`], it re-analyzes only apps whose app-level
 //! digest actually changed (the churn model updates a small fraction per
 //! epoch) and carries every other record over verbatim, returning a
-//! [`ReachDelta`] of what moved. The differential suite pins both paths
-//! bit-identical to the uncached oracle.
+//! [`ReachDelta`] of what moved. Every analysis runs the one engine in
+//! [`crate::reach`], so the differential suite pins what the sweeps add —
+//! digest keying, eviction, the fragment fold, carry-over — bit-identical
+//! to the uncached oracle.
 
 use crate::corpus::{app_at, package_at, version_changed, CorpusConfig, ProviderCombo};
 use crate::reach::{ReachClass, ReachFinding, ReachReport};
-use crate::stats::ProviderTable;
 use crate::summary::{analyze_entry_cached, app_digest, CacheTally, CachedAnalysis, SummaryCache};
 use crate::taint::TaintClass;
 use backwatch_android::permission::LocationClaim;
@@ -185,25 +186,7 @@ impl SweepResult {
     #[must_use]
     pub fn report(&self) -> ReachReport {
         let findings: Vec<ReachFinding> = (0..self.records.len()).map(|i| self.finding_at(i)).collect();
-        let mut cells: BTreeMap<(LocationClaim, ProviderCombo), usize> = BTreeMap::new();
-        let mut unclassified = 0usize;
-        for f in findings.iter().filter(|f| f.class.accesses_in_background()) {
-            match f.combo {
-                Some(combo) => *cells.entry((f.claim, combo)).or_insert(0) += 1,
-                None => unclassified += 1,
-            }
-        }
-        let funnel = self.funnel();
-        ReachReport {
-            total: funnel.total,
-            declaring: funnel.declaring,
-            functional: funnel.functional,
-            background: funnel.background,
-            auto_start: funnel.auto_start,
-            table1: ProviderTable::from_cells(cells, unclassified),
-            parse_failures: funnel.parse_failures,
-            findings,
-        }
+        ReachReport::from_findings(findings, self.funnel().parse_failures)
     }
 }
 

@@ -35,6 +35,7 @@
 
 use crate::corpus::MarketApp;
 use crate::reach::{ReachClass, ReachFinding};
+use crate::summary::ClassSummary;
 use backwatch_android::app::Manifest;
 use backwatch_android::ir::{self, IrInstr, IrProgram};
 use std::collections::{BTreeSet, HashMap};
@@ -194,8 +195,8 @@ pub enum TaintOp {
 
 /// Lowers one instruction stream to its taint operations. This is the
 /// *only* place instructions are classified against the signature
-/// tables; `summarize_method` calls it once per digest and the oracle
-/// calls it per program, so the two can never diverge.
+/// tables; summarizing calls it once per class and [`analyze_program`]
+/// once per method, so the paths can never diverge.
 #[must_use]
 pub fn ops_for_instrs(instrs: &[IrInstr]) -> Vec<TaintOp> {
     instrs
@@ -346,8 +347,9 @@ pub(crate) fn lower_ops(program: &IrProgram) -> Vec<(String, String, Vec<TaintOp
 
 /// The solvable surface: method op streams by id, plus the optional
 /// fragment folded as precomputed transfer constants. Built either from
-/// a parsed program (oracle) or from cached `MethodSummary` op streams
-/// (cached sweep) — the engine cannot tell the difference, which is the
+/// a lowered program ([`analyze_program`], [`FragTaint::build`]) or from
+/// `MethodSummary` op streams, uncached (the entry oracle) or cached
+/// (the sweep) — the engine cannot tell the difference, which is the
 /// parity argument.
 pub(crate) struct TaintView<'a> {
     ids: HashMap<(&'a str, &'a str), usize>,
@@ -377,6 +379,17 @@ impl<'a> TaintView<'a> {
             callbacks,
             fragment,
         }
+    }
+
+    /// A view over summarized classes: each method's cached op stream,
+    /// in declaration order.
+    pub(crate) fn from_summaries(classes: impl IntoIterator<Item = &'a ClassSummary>, fragment: Option<&'a FragTaint>) -> Self {
+        let methods = classes.into_iter().flat_map(|cs| {
+            cs.methods
+                .iter()
+                .map(move |(m, ms)| (cs.name.as_str(), m.as_str(), ms.taint_ops.as_slice()))
+        });
+        Self::new(methods, fragment)
     }
 
     fn method_count(&self) -> usize {
@@ -589,29 +602,20 @@ pub struct TaintAnalysis {
 
 /// Full oracle for one corpus entry: compose own+fragment code exactly
 /// like [`crate::reach::analyze_entry`], classify reachability, then
-/// classify taint over the same parsed program. The cached counterpart
-/// is `summary::analyze_entry_cached`, pinned bit-identical (finding,
-/// taint, and telemetry) by the differential suites.
+/// classify taint over the same uncached summaries. The cached
+/// counterpart is `summary::analyze_entry_cached`, pinned bit-identical
+/// (finding, taint, and telemetry) by the differential suites.
 #[must_use]
 pub fn analyze_entry(entry: &MarketApp) -> TaintAnalysis {
-    crate::obs::register();
-    let mut program = crate::reach::lower_with_sdk(entry);
-    if let Some(sdk) = &entry.sdk {
-        program.classes.extend(sdk.program().classes.iter().cloned());
-    }
-    let (finding, parse_failed, parsed) = crate::reach::finish_app_analysis(entry.app.manifest(), &ir::render(&program));
-    let taint = match &parsed {
-        Some(p) => {
-            let lowered = lower_ops(p);
-            let view = TaintView::new(lowered.iter().map(|(c, m, o)| (c.as_str(), m.as_str(), o.as_slice())), None);
-            classify_with_view(entry.app.manifest(), &view, finding.class)
-        }
+    let (finding, summaries) = crate::reach::analyze_entry_inner(entry);
+    let taint = match &summaries {
+        Some(classes) => classify_with_view(entry.app.manifest(), &TaintView::from_summaries(classes, None), finding.class),
         None => record(TaintClass::NoAccess),
     };
     TaintAnalysis {
         finding,
         taint,
-        parse_failed,
+        parse_failed: summaries.is_none(),
     }
 }
 
@@ -667,7 +671,13 @@ mod tests {
         }
         // a sanitizer caps raw at its degree and never sharpens
         for d in 0..=ir::MAX_SANITIZER_DEGREE {
-            assert_eq!(T_RAW.min(sanitized(d)), 1 + d);
+            for &input in &LATTICE {
+                let capped = input.min(sanitized(d));
+                if input == T_RAW {
+                    assert_eq!(capped, 1 + d);
+                }
+                assert!(capped <= input, "a sanitizer never sharpens");
+            }
             assert_eq!(1u8.min(sanitized(d)), 1, "coarser data stays coarse");
         }
     }
@@ -854,7 +864,7 @@ mod tests {
             )],
         };
         let fragment = FragTaint::build(&frag);
-        let own = vec![(
+        let own = [(
             "com/t/app/MainActivity".to_owned(),
             "onCreate".to_owned(),
             ops_for_instrs(&[source(), IrInstr::MoveResult, invoke(frag_class, "ship")]),

@@ -3,8 +3,12 @@
 //! sequential oracle (`reach::analyze`) — same per-app finding, same
 //! §III funnel (2,800 → 1,137 → 528 → 102 → 85 at paper scale), same
 //! Table I — under every knob setting, including an adversarial
-//! sink-bearing fragment. The cache is allowed to change how much work
-//! happens, never what comes out.
+//! sink-bearing fragment. Both sides run the one reachability engine, so
+//! what this suite checks is exactly what caching adds: digest keying,
+//! eviction, the fragment fold (the oracle composes fragment classes
+//! inline instead), and incremental carry-over. The paper funnel here
+//! pins the engine's semantics independently. The cache is allowed to
+//! change how much work happens, never what comes out.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test/bench/example target: panics are failures by design
 

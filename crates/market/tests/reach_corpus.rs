@@ -1,12 +1,14 @@
 //! Classification half of the shared IR fixture corpus: fixtures under
-//! `crates/android/tests/ir_corpus/` that carry a second `#class:`
-//! directive are run through [`backwatch_market::reach::analyze_program`]
-//! against a fixed standard manifest, and the assigned reachability class
-//! must match the directive. The parse-side contract (parse-or-counted-
-//! error, never panic) lives in the android crate's `ir_corpus` test;
-//! this one pins the *semantics* — cycles terminate, dead sinks stay
-//! non-accessor, sink-named app methods are not sinks, missing entry
-//! classes are counted and skipped.
+//! `crates/android/tests/ir_corpus/` that carry a `#class:` directive
+//! are run through [`backwatch_market::reach::analyze_program`] against
+//! a fixed standard manifest, and the assigned reachability class and
+//! inferred provider set must match the `#class:` and `#providers:`
+//! directives (`#providers: gps,network`, or `none`). The parse-side
+//! contract (parse-or-counted-error, never panic) lives in the android
+//! crate's `ir_corpus` test; this one pins the *semantics* — cycles
+//! terminate, dead sinks stay non-accessor, sink-named app methods are
+//! not sinks, missing entry classes are counted and skipped, and
+//! provider evidence comes only from reached sink call sites.
 //!
 //! The test lives here rather than in the android crate because reach
 //! analysis is a market concern and android must not depend on market.
@@ -16,7 +18,9 @@
 use backwatch_android::app::{Component, ComponentKind, Manifest, ManifestBuilder, ACTION_BOOT_COMPLETED, ACTION_MAIN};
 use backwatch_android::ir;
 use backwatch_android::permission::Permission;
+use backwatch_android::provider::ProviderKind;
 use backwatch_market::reach;
+use std::collections::BTreeSet;
 use std::fs;
 use std::path::PathBuf;
 
@@ -34,8 +38,24 @@ fn standard_manifest() -> Manifest {
     b.build()
 }
 
-fn class_directive(text: &str) -> Option<&str> {
-    text.lines().nth(1)?.strip_prefix("#class:").map(str::trim)
+fn directive<'a>(text: &'a str, key: &str) -> Option<&'a str> {
+    text.lines()
+        .take_while(|l| l.starts_with('#'))
+        .find_map(|l| l.strip_prefix(key))
+        .map(str::trim)
+}
+
+fn parse_providers(name: &str, list: &str) -> BTreeSet<ProviderKind> {
+    if list == "none" {
+        return BTreeSet::new();
+    }
+    list.split(',')
+        .map(|p| {
+            p.trim()
+                .parse()
+                .unwrap_or_else(|e| panic!("{name}: bad #providers: entry {p:?}: {e}"))
+        })
+        .collect()
 }
 
 #[test]
@@ -54,12 +74,19 @@ fn fixture_classes_match_their_directives() {
     for path in fixtures {
         let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("?").to_owned();
         let text = fs::read_to_string(&path).unwrap_or_else(|e| panic!("{name}: unreadable fixture: {e}"));
-        let Some(want) = class_directive(&text) else {
+        let Some(want) = directive(&text, "#class:") else {
             continue;
         };
+        let providers = directive(&text, "#providers:")
+            .unwrap_or_else(|| panic!("{name}: a #class fixture must carry a #providers: directive"));
         let program = ir::parse(&text).unwrap_or_else(|e| panic!("{name}: #class fixture must parse: {e}"));
         let analysis = reach::analyze_program(&manifest, &program);
         assert_eq!(analysis.class.name(), want, "{name}: wrong reachability class");
+        assert_eq!(
+            analysis.providers,
+            parse_providers(&name, providers),
+            "{name}: wrong inferred providers"
+        );
         classified += 1;
 
         // every declared component missing from the program is counted
