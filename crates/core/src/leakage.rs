@@ -16,8 +16,9 @@
 //! the finest precision ([`MAX_DECIMALS`]); coarser precisions are
 //! derived by *integer division*, so the projection chain
 //! `cells(d) = cells(d+1) div 10` holds exactly — no floating-point
-//! re-rounding. A user is a candidate for an observed fix set iff their
-//! projected cell set contains every observed cell.
+//! re-rounding. Enrollment builds every level of that chain once; a
+//! user is a candidate for an observed fix set iff their cell set at
+//! the channel's precision contains every observed cell.
 //!
 //! Monotonicity then holds by construction:
 //!
@@ -30,6 +31,14 @@
 //!   degree is non-increasing as i shrinks (along divisor chains).
 //! - The true user is always a candidate: the observed fixes come from
 //!   their own trace, so the observed cells are a subset of their set.
+//!
+//! The last point needs the floor taken on the decimal lattice as floats
+//! represent it: the cell of `x` at d decimals is the largest `k` with
+//! `k / 10^d <= x` (division as computed), not `floor(x·10^d)`, whose
+//! product can round across an integer (`39.98·100` is
+//! `3997.9999999999995`). So a truncated coordinate is a fixed point of
+//! truncation, and its cells at every precision are the ones the
+//! original fix had.
 //!
 //! At d=0 every fix in a city-sized area collapses to one whole-degree
 //! cell and the candidate set is the whole population (degree 1); with
@@ -80,11 +89,28 @@ impl Precision {
 /// Truncates one coordinate to `d` decimal digits (toward -∞, so the
 /// result is the lower-left corner of the coordinate's decimal cell —
 /// the same convention as [`CoordSet`]'s integer cells).
+///
+/// The result is never above `x`, and truncating it again returns it
+/// unchanged.
 #[must_use]
 pub fn truncate_deg(x: f64, d: u8) -> f64 {
     assert!(d <= 9, "decimal truncation beyond 9 digits is meaningless for degrees");
     let scale = 10f64.powi(i32::from(d));
-    (x * scale).floor() / scale
+    lattice_floor(x, scale) / scale
+}
+
+/// The largest integer `k` with `k / scale <= x`, the division as
+/// floats compute it: `floor(x * scale)` corrected by one step where the
+/// product rounded across an integer.
+fn lattice_floor(x: f64, scale: f64) -> f64 {
+    let k = (x * scale).floor();
+    if (k + 1.0) / scale <= x {
+        k + 1.0
+    } else if k / scale > x {
+        k - 1.0
+    } else {
+        k
+    }
 }
 
 /// Indices the channel samples from a trace with the given fix `times`:
@@ -122,10 +148,12 @@ pub fn observe(trace: &Trace, interval: Seconds, precision: Precision) -> Trace 
             let p = trace.points()[i as usize];
             match precision {
                 Precision::Lossless => p,
-                Precision::Decimals(d) => TracePoint::new(
-                    p.time,
-                    LatLon::clamped(truncate_deg(p.pos.lat(), d), truncate_deg(p.pos.lon(), d)),
-                ),
+                Precision::Decimals(d) => {
+                    let (lat, lon) = (truncate_deg(p.pos.lat(), d), truncate_deg(p.pos.lon(), d));
+                    // truncating an in-range coordinate stays in range, and
+                    // `clamped`'s longitude wrap would move it off the lattice
+                    TracePoint::new(p.time, LatLon::new(lat, lon).unwrap_or_else(|_| LatLon::clamped(lat, lon)))
+                }
             }
         })
         .collect();
@@ -143,11 +171,25 @@ pub struct CoordSet {
 
 fn cell_at_max(pos: LatLon) -> (i32, i32) {
     let scale = 10f64.powi(i32::from(MAX_DECIMALS));
-    ((pos.lat() * scale).floor() as i32, (pos.lon() * scale).floor() as i32)
+    (lattice_floor(pos.lat(), scale) as i32, lattice_floor(pos.lon(), scale) as i32)
 }
 
 fn projection_divisor(d: u8) -> i32 {
     10i32.pow(u32::from(MAX_DECIMALS - d))
+}
+
+/// Sorted unique `cells` divided cell-wise by `div`: the same set
+/// `log10(div)` decimals coarser, sorted unique.
+fn divide_cells(cells: &[(i32, i32)], div: i32) -> Vec<(i32, i32)> {
+    let mut out: Vec<(i32, i32)> = cells
+        .iter()
+        .map(|&(la, lo)| (la.div_euclid(div), lo.div_euclid(div)))
+        .collect();
+    // component-wise division is monotone but does not preserve the
+    // lexicographic pair order, so re-sort before deduplicating
+    out.sort_unstable();
+    out.dedup();
+    out
 }
 
 impl CoordSet {
@@ -196,26 +238,21 @@ impl CoordSet {
     #[must_use]
     pub fn project(&self, d: u8) -> Vec<(i32, i32)> {
         assert!(d <= MAX_DECIMALS, "containment cells exist up to MAX_DECIMALS only");
-        let div = projection_divisor(d);
-        let mut out: Vec<(i32, i32)> = self
-            .cells
-            .iter()
-            .map(|&(la, lo)| (la.div_euclid(div), lo.div_euclid(div)))
-            .collect();
-        // component-wise division is monotone but does not preserve the
-        // lexicographic pair order, so re-sort before deduplicating
-        out.sort_unstable();
-        out.dedup();
-        out
+        divide_cells(&self.cells, projection_divisor(d))
     }
 }
 
 /// The containment attacker: enrolled full-trace cell sets, queried with
 /// an observed (sampled) cell set at a given precision.
+///
+/// Each enrolled set is held at every precision up to [`MAX_DECIMALS`],
+/// built once at enrollment, so a query projects only the observation.
 #[derive(Debug, Clone, Default)]
 pub struct LeakageAdversary {
     users: Vec<u32>,
-    sets: Vec<CoordSet>,
+    /// `levels[k][d]`: the k-th enrolled user's cells at `d` decimals
+    /// (sorted unique), for every `d <= MAX_DECIMALS`.
+    levels: Vec<Vec<Vec<(i32, i32)>>>,
 }
 
 impl LeakageAdversary {
@@ -227,8 +264,21 @@ impl LeakageAdversary {
 
     /// Enrolls a user's full-trace cell set.
     pub fn insert(&mut self, user: u32, set: CoordSet) {
+        // finest level first, each next one the exact `div 10` image of
+        // the one before; reversed so that level d sits at index d
+        let mut levels = Vec::with_capacity(usize::from(MAX_DECIMALS) + 1);
+        let mut cells = set.cells;
+        for _ in 0..MAX_DECIMALS {
+            let mut coarser = divide_cells(&cells, 10);
+            // collected at the finer level's length, kept at a fraction
+            coarser.shrink_to_fit();
+            levels.push(cells);
+            cells = coarser;
+        }
+        levels.push(cells);
+        levels.reverse();
         self.users.push(user);
-        self.sets.push(set);
+        self.levels.push(levels);
     }
 
     /// Enrolled population size.
@@ -237,8 +287,8 @@ impl LeakageAdversary {
         self.users.len()
     }
 
-    /// Users whose cell set, projected to the channel precision, contains
-    /// every observed cell.
+    /// Users whose cell set at the channel precision contains every
+    /// observed cell.
     #[must_use]
     pub fn candidates(&self, observed: &CoordSet, precision: Precision) -> Vec<u32> {
         crate::obs::register();
@@ -246,8 +296,8 @@ impl LeakageAdversary {
         let d = precision.containment_decimals();
         let obs = observed.project(d);
         let mut out = Vec::new();
-        for (user, set) in self.users.iter().zip(&self.sets) {
-            let cand = set.project(d);
+        for (user, levels) in self.users.iter().zip(&self.levels) {
+            let cand = &levels[usize::from(d)];
             if obs.iter().all(|c| cand.binary_search(c).is_ok()) {
                 out.push(*user);
             }
@@ -295,6 +345,48 @@ mod tests {
         assert_eq!(truncate_deg(39.9876, 2), 39.98);
         assert_eq!(truncate_deg(-39.9876, 2), -39.99);
         assert_eq!(truncate_deg(116.4, 0), 116.0);
+    }
+
+    #[test]
+    fn truncation_is_idempotent_on_the_decimal_lattice() {
+        // the product 39.98 * 100 rounds to 3997.9999999999995
+        assert_eq!(truncate_deg(39.98, 2), 39.98);
+        assert_eq!(truncate_deg(truncate_deg(39.98765, 2), 2), 39.98);
+        assert_eq!(cell_at_max(LatLon::new(39.98, 116.4).unwrap()), (399_800, 1_164_000));
+        // and -127.80000000000001 * 10 rounds up to exactly -1278
+        assert_eq!(truncate_deg((-127.8f64).next_down(), 1), -127.9);
+        for d in 1..=4u8 {
+            let scale = 10f64.powi(i32::from(d));
+            let per_degree = 10i64.pow(u32::from(d));
+            for (lo, hi) in [(39, 41), (115, 118), (-41, -39), (-118, -115)] {
+                for k in lo * per_degree..hi * per_degree {
+                    let x = k as f64 / scale;
+                    assert_eq!(truncate_deg(x, d), x, "lattice value {x} moved at d={d}");
+                    assert_eq!(truncate_deg(x.next_down(), d), (k - 1) as f64 / scale, "{x} - 1 ulp at d={d}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn true_user_is_a_candidate_of_every_leaked_observation() {
+        let t = trace_of(&[
+            (39.98, 116.4),
+            (39.987_65, 116.399_99),
+            ((-33.8f64).next_down(), (-127.8f64).next_down()),
+            (-0.000_05, -179.999_95),
+        ]);
+        let mut adv = LeakageAdversary::new();
+        adv.insert(7, CoordSet::from_trace(&t));
+        adv.insert(8, CoordSet::from_trace(&trace_of(&[(39.97, 116.3)])));
+        let precisions = (0..=9).map(Precision::Decimals).chain([Precision::Lossless]);
+        for precision in precisions {
+            let observed = CoordSet::from_trace(&observe(&t, Seconds::new(1), precision));
+            assert!(
+                adv.candidates(&observed, precision).contains(&7),
+                "true user dropped out at {precision:?}"
+            );
+        }
     }
 
     #[test]

@@ -92,6 +92,7 @@ impl Lppm for DecimalTruncation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use backwatch_core::leakage::truncate_deg;
     use backwatch_geo::{distance::haversine, LatLon};
     use backwatch_trace::{Timestamp, TracePoint};
     use rand::rngs::StdRng;
@@ -145,8 +146,9 @@ mod tests {
             // truncation never moves a coordinate by a full cell
             assert!((a.pos.lat() - b.pos.lat()).abs() < 0.01);
             assert!((a.pos.lon() - b.pos.lon()).abs() < 0.01);
-            // and the result sits on the 0.01-degree lattice
-            assert!((b.pos.lat() * 100.0 - (b.pos.lat() * 100.0).round()).abs() < 1e-9);
+            // and the result sits exactly on the 0.01-degree lattice
+            assert_eq!(truncate_deg(b.pos.lat(), 2), b.pos.lat());
+            assert_eq!(truncate_deg(b.pos.lon(), 2), b.pos.lon());
         }
     }
 

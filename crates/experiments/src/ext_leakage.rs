@@ -129,13 +129,19 @@ pub fn run(cfg: &ExperimentConfig) -> LeakageResult {
     });
 
     // Population-wide stores: the chi-square profile store and the
-    // containment adversary, both over the full-precision ground truth.
+    // containment adversary, both over the full-precision ground truth,
+    // which moves into them.
     let mut store = ProfileStore::new(PatternKind::RegionVisits);
     let mut containment = LeakageAdversary::new();
-    for (u, ul) in per_user.iter().enumerate() {
-        store.insert(u as u32, ul.profile1.clone());
-        containment.insert(u as u32, ul.full_set.clone());
-    }
+    let per_user: Vec<(Vec<CoordSet>, Vec<CellRaw>)> = per_user
+        .into_iter()
+        .enumerate()
+        .map(|(u, ul)| {
+            store.insert(u as u32, ul.profile1);
+            containment.insert(u as u32, ul.full_set);
+            (ul.per_interval, ul.cells)
+        })
+        .collect();
 
     let mut cells = Vec::with_capacity(LEAK_INTERVALS.len() * PRECISIONS.len());
     for (ii, &interval_s) in LEAK_INTERVALS.iter().enumerate() {
@@ -147,8 +153,8 @@ pub fn run(cfg: &ExperimentConfig) -> LeakageResult {
             let mut chi2_sum = 0.0;
             let mut cont_sum = 0.0;
             let mut identified = 0usize;
-            for ul in &per_user {
-                let raw = &ul.cells[idx];
+            for (per_interval, user_cells) in &per_user {
+                let raw = &user_cells[idx];
                 poi_sum += raw.pois;
                 fired += usize::from(raw.fired);
                 let inference = store.infer(&raw.observed1, &matcher, Weighting::PaperChiSquare);
@@ -156,7 +162,7 @@ pub fn run(cfg: &ExperimentConfig) -> LeakageResult {
                     chi2_matched += 1;
                     chi2_sum += d;
                 }
-                let candidates = containment.candidates(&ul.per_interval[ii], precision);
+                let candidates = containment.candidates(&per_interval[ii], precision);
                 identified += usize::from(candidates.len() == 1);
                 let n = containment.population();
                 cont_sum += if n <= 1 || candidates.is_empty() {

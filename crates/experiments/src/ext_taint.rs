@@ -166,7 +166,7 @@ pub struct TaintScaleResult {
 #[must_use]
 pub fn calibrate_knife_edge(cfg: &ExperimentConfig) -> KnifeEdge {
     let n_users = cfg.synth.n_users;
-    let sampled: Vec<(CoordSet, CoordSet)> = crate::pool::map_users(n_users, cfg.threads, |u| {
+    let (full, sampled): (Vec<CoordSet>, Vec<CoordSet>) = crate::pool::map_users(n_users, cfg.threads, |u| {
         let user = generate_user(&cfg.synth, u);
         let times: Vec<i64> = user.trace.points().iter().map(|p| p.time.as_secs()).collect();
         let indices = leakage::sample_indices(&times, Seconds::new(KNIFE_EDGE_INTERVAL_S));
@@ -174,16 +174,18 @@ pub fn calibrate_knife_edge(cfg: &ExperimentConfig) -> KnifeEdge {
             CoordSet::from_trace(&user.trace),
             CoordSet::from_sampled(&user.trace, &indices),
         )
-    });
+    })
+    .into_iter()
+    .unzip();
     let mut adversary = LeakageAdversary::new();
-    for (u, (full, _)) in sampled.iter().enumerate() {
-        adversary.insert(u as u32, full.clone());
+    for (u, set) in full.into_iter().enumerate() {
+        adversary.insert(u as u32, set);
     }
 
     let identified_at = |precision: Precision| {
         sampled
             .iter()
-            .filter(|(_, leak)| adversary.candidates(leak, precision).len() == 1)
+            .filter(|leak| adversary.candidates(leak, precision).len() == 1)
             .count()
     };
     let mut identified_by_decimals = [0usize; 5];

@@ -65,7 +65,9 @@ impl LatLon {
     /// longitude into [-180, 180].
     ///
     /// Useful when arithmetic (jitter, interpolation) may step slightly out
-    /// of range near the domain edges.
+    /// of range near the domain edges. The wrap is unconditional, so an
+    /// in-range longitude can move by an ulp (116.4 comes back as
+    /// 116.39999999999998); use [`LatLon::new`] where exactness matters.
     ///
     /// # Panics
     ///

@@ -5,13 +5,15 @@
 //! divisor chain (more samples → smaller candidate sets). The exact
 //! fixed points are pinned too: a lossless 1 Hz observation is the
 //! identity channel, and d=0 collapses the whole synthetic city into one
-//! cell — full anonymity, no re-identification.
+//! cell — full anonymity, no re-identification. A differential property
+//! pins the adversary's enrollment-time precision levels to projecting
+//! every enrolled set per query.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test/bench/example target: panics are failures by design
 
 use backwatch::model::leakage::{observe, sample_indices, CoordSet, LeakageAdversary, Precision, MAX_DECIMALS};
 use backwatch::model::poi::{ExtractorParams, SpatioTemporalExtractor};
-use backwatch::prelude::{Seconds, SynthConfig};
+use backwatch::prelude::{LatLon, Seconds, SynthConfig, Timestamp, Trace, TracePoint};
 use backwatch::trace::synth::generate_user;
 use proptest::prelude::*;
 
@@ -36,6 +38,41 @@ fn population() -> (SynthConfig, LeakageAdversary, Vec<backwatch::trace::Trace>)
 
 fn times_of(trace: &backwatch::trace::Trace) -> Vec<i64> {
     trace.points().iter().map(|p| p.time.as_secs()).collect()
+}
+
+/// A fix near a seam where cell indices change sign or wrap: the
+/// equator / prime-meridian corner, or either side of the antimeridian.
+fn fix_near_a_seam() -> impl Strategy<Value = (f64, f64)> {
+    prop_oneof![
+        (-0.05f64..0.05, -0.05f64..0.05),
+        (-0.05f64..0.05, 179.95f64..=180.0),
+        (-0.05f64..0.05, -180.0f64..-179.95),
+    ]
+}
+
+fn trace_from(fixes: &[(f64, f64)]) -> Trace {
+    Trace::from_points(
+        fixes
+            .iter()
+            .enumerate()
+            .map(|(i, &(lat, lon))| TracePoint::new(Timestamp::from_secs(i as i64), LatLon::new(lat, lon).unwrap()))
+            .collect(),
+    )
+}
+
+/// The containment test without precomputed levels: project every
+/// enrolled set to the channel precision on each query.
+fn reference_candidates(enrolled: &[(u32, CoordSet)], observed: &CoordSet, precision: Precision) -> Vec<u32> {
+    let d = precision.containment_decimals();
+    let obs = observed.project(d);
+    enrolled
+        .iter()
+        .filter(|(_, set)| {
+            let cand = set.project(d);
+            obs.iter().all(|c| cand.binary_search(c).is_ok())
+        })
+        .map(|&(user, _)| user)
+        .collect()
 }
 
 proptest! {
@@ -122,6 +159,52 @@ proptest! {
         prop_assert_eq!(candidates.len(), N_USERS as usize, "d=0 must match the whole population");
         let degree = adversary.degree(&observed, Precision::Decimals(0)).unwrap();
         prop_assert!((degree - 1.0).abs() < 1e-12, "d=0 degree must saturate at 1, got {degree}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The levels built once at enrollment answer every query exactly as
+    /// per-query projection does: on cells of both signs (`div_euclid`
+    /// rounds negative cells down), at both ends of the longitude range,
+    /// for empty traces and a user enrolled twice, at every precision.
+    #[test]
+    fn candidates_equal_per_query_projection(
+        traces in prop::collection::vec(prop::collection::vec(fix_near_a_seam(), 0..24), 1..6),
+        stray in prop::collection::vec(fix_near_a_seam(), 1..8),
+        stride in 1usize..4,
+    ) {
+        let mut enrolled: Vec<(u32, CoordSet)> = traces
+            .iter()
+            .enumerate()
+            .map(|(u, fixes)| (u as u32, CoordSet::from_trace(&trace_from(fixes))))
+            .collect();
+        // the first user enrolls again under a fresh id
+        enrolled.push((traces.len() as u32, enrolled[0].1.clone()));
+        let mut adversary = LeakageAdversary::new();
+        for (user, set) in &enrolled {
+            adversary.insert(*user, set.clone());
+        }
+        // each user's strided sample, fixes nobody need have covered, and
+        // the empty observation
+        let mut observations = vec![CoordSet::default(), CoordSet::from_trace(&trace_from(&stray))];
+        for fixes in &traces {
+            let trace = trace_from(fixes);
+            let indices: Vec<u32> = (0..trace.points().len() as u32).step_by(stride).collect();
+            observations.push(CoordSet::from_sampled(&trace, &indices));
+        }
+        for precision in (0..=9).map(Precision::Decimals).chain([Precision::Lossless]) {
+            for observed in &observations {
+                prop_assert_eq!(
+                    adversary.candidates(observed, precision),
+                    reference_candidates(&enrolled, observed, precision),
+                    "candidate sets differ at {:?} for {:?}",
+                    precision,
+                    observed
+                );
+            }
+        }
     }
 }
 
