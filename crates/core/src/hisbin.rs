@@ -22,6 +22,8 @@
 
 use crate::pattern::Profile;
 use backwatch_stats::chi2;
+use std::cell::RefCell;
+use std::collections::HashMap;
 
 /// The binary histogram-fit metric of Table II.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -160,9 +162,26 @@ impl Matcher {
                 df: 0.0,
             };
         }
+        // One merge pass over the key union finds the shared support, the
+        // category count and the Pearson sum. The reconstruction scales the
+        // observed counts up to the profile total; the literal rule compares
+        // raw counts (a scale of exactly 1, so `o * scale` is `o`).
+        let scale = match self.rule {
+            MatchRule::ScaledUpperTail => n_prof as f64 / n_obs as f64,
+            MatchRule::PaperLowerTail => 1.0,
+        };
+        let mut shares_support = false;
+        let mut categories = 0usize;
+        let mut statistic = 0.0;
+        for (o, e) in observed.histogram().union_counts(profile.histogram()) {
+            shares_support |= o > 0 && e > 0;
+            categories += 1;
+            let e = (e as f64).max(self.floor);
+            let d = o as f64 * scale - e;
+            statistic += d * d / e;
+        }
         // Zero shared support can never indicate the profile, however the
         // chi-square arithmetic works out for tiny histograms.
-        let shares_support = observed.histogram().keys().any(|k| profile.histogram().count(k) > 0);
         if !shares_support {
             return MatchOutcome {
                 his_bin: HisBin::Safe,
@@ -170,8 +189,7 @@ impl Matcher {
                 df: 0.0,
             };
         }
-        let (obs, exp) = observed.histogram().align(profile.histogram());
-        if obs.len() < 2 {
+        if categories < 2 {
             // one shared category with observations on both sides: the
             // trivial profile is trivially revealed
             return MatchOutcome {
@@ -180,37 +198,36 @@ impl Matcher {
                 df: 0.0,
             };
         }
-        let df = (obs.len() - 1) as f64;
-        let (statistic, threshold, matches) = match self.rule {
-            MatchRule::ScaledUpperTail => {
-                let scale = n_prof as f64 / n_obs as f64;
-                let mut stat = 0.0;
-                for (&o, &e) in obs.iter().zip(&exp) {
-                    let e = e.max(self.floor);
-                    let d = o * scale - e;
-                    stat += d * d / e;
-                }
-                let crit = chi2::inverse_cdf(1.0 - self.alpha, df);
-                (stat, crit, stat <= crit)
-            }
-            MatchRule::PaperLowerTail => {
-                let mut stat = 0.0;
-                for (&o, &e) in obs.iter().zip(&exp) {
-                    let e = e.max(self.floor);
-                    let d = o - e;
-                    stat += d * d / e;
-                }
-                let crit = chi2::inverse_cdf(self.alpha, df);
-                (stat, crit, stat >= crit)
-            }
+        let df = (categories - 1) as f64;
+        let matches = match self.rule {
+            MatchRule::ScaledUpperTail => statistic <= critical_value(1.0 - self.alpha, df),
+            MatchRule::PaperLowerTail => statistic >= critical_value(self.alpha, df),
         };
-        let _ = threshold;
         MatchOutcome {
             his_bin: if matches { HisBin::Leaky } else { HisBin::Safe },
             statistic,
             df,
         }
     }
+}
+
+/// `chi2::inverse_cdf(p, df)`, memoized per thread.
+///
+/// The quantile is a bisection over the incomplete gamma function, while a
+/// run needs only a few hundred distinct (p, df) pairs across millions of
+/// comparisons. Each entry is the function's own result for the same bit
+/// patterns, so a hit returns exactly what a fresh call would. The table
+/// is per thread, so workers never contend for it.
+fn critical_value(p: f64, df: f64) -> f64 {
+    thread_local! {
+        static TABLE: RefCell<HashMap<(u64, u64), f64>> = RefCell::new(HashMap::new());
+    }
+    TABLE.with(|table| {
+        *table.borrow_mut().entry((p.to_bits(), df.to_bits())).or_insert_with(|| {
+            crate::obs::HISBIN_CRITICAL_EVALS.inc();
+            chi2::inverse_cdf(p, df)
+        })
+    })
 }
 
 /// Result of the incremental detector: how much collected data the
@@ -402,6 +419,26 @@ mod tests {
         let o2 = m.compare(&profile, &profile);
         assert_eq!(o1, o2);
         assert_eq!(m.rule(), MatchRule::PaperLowerTail);
+    }
+
+    #[test]
+    fn memoized_critical_values_follow_alpha_and_tail() {
+        // The tail probabilities of α = 0.05 and 0.01 under both rules,
+        // interleaved on one thread: a memo keyed by df alone would hand
+        // one configuration another's quantile.
+        let tails = [0.95, 0.99, 0.05, 0.01];
+        for round in 0..2 {
+            for df in 1..=512u32 {
+                let df = f64::from(df);
+                for p in tails {
+                    assert_eq!(
+                        critical_value(p, df).to_bits(),
+                        chi2::inverse_cdf(p, df).to_bits(),
+                        "round {round}, p {p}, df {df}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -23,6 +23,9 @@ pub static POI_PLANAR_CERTIFIED: Counter = Counter::new();
 pub static POI_PLANAR_REFINED: Counter = Counter::new();
 /// His_bin chi-square profile comparisons evaluated.
 pub static HISBIN_COMPARES: Counter = Counter::new();
+/// Chi-square critical values actually computed: misses of the matcher's
+/// per-thread (α, df) memo. Far below [`HISBIN_COMPARES`] once warm.
+pub static HISBIN_CRITICAL_EVALS: Counter = Counter::new();
 /// Fixes pushed through streaming extraction engines. Batch `extract*`
 /// calls ride the same engine, so this also counts their fixes.
 pub static STREAM_POINTS: Counter = Counter::new();
@@ -87,6 +90,11 @@ pub fn register() {
             "core.hisbin.compares_total",
             "His_bin chi-square comparisons",
             &HISBIN_COMPARES,
+        );
+        register_counter(
+            "core.hisbin.critical_value_evals_total",
+            "chi-square critical values computed (per-thread memo misses)",
+            &HISBIN_CRITICAL_EVALS,
         );
         register_counter(
             "core.stream.points_pushed_total",

@@ -2,11 +2,12 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test/bench/example target: panics are failures by design
 
-use backwatch_core::hisbin::Matcher;
-use backwatch_core::pattern::{PatternKind, Profile};
+use backwatch_core::hisbin::{HisBin, MatchOutcome, MatchRule, Matcher};
+use backwatch_core::pattern::{PatternKey, PatternKind, Profile};
 use backwatch_core::poi::{cluster_stays, ExtractorParams, SpatioTemporalExtractor, Stay};
 use backwatch_geo::distance::Metric;
-use backwatch_geo::{Grid, LatLon, Meters, Seconds};
+use backwatch_geo::{CellId, Grid, LatLon, Meters, Seconds};
+use backwatch_stats::chi2;
 use backwatch_trace::{Timestamp, Trace, TracePoint};
 use proptest::prelude::*;
 
@@ -59,8 +60,179 @@ fn arb_day() -> impl Strategy<Value = (Trace, usize)> {
     })
 }
 
+/// The grid every histogram test quantizes on.
+fn test_grid() -> Grid {
+    Grid::new(LatLon::new(39.9, 116.4).unwrap(), Meters::new(250.0))
+}
+
+/// Chronological stays at the centers of `(row, col)` cells, the i-th
+/// dwelling `blocks` half-hours (pattern 1 weights a region by them).
+fn stays_in(grid: &Grid, cells: &[(i64, i64, i64)]) -> Vec<Stay> {
+    cells
+        .iter()
+        .enumerate()
+        .map(|(i, &(row, col, blocks))| {
+            let t = i as i64 * 100_000;
+            Stay {
+                centroid: grid.cell_center(CellId { row, col }),
+                enter: Timestamp::from_secs(t),
+                leave: Timestamp::from_secs(t + blocks * 1800),
+                n_points: 2,
+                end_index: i,
+            }
+        })
+        .collect()
+}
+
+/// Random cell visits on a 4 x 4 block of cells, so two draws overlap
+/// partly, fully or not at all.
+fn arb_visits(max: usize) -> impl Strategy<Value = Vec<(i64, i64, i64)>> {
+    prop::collection::vec((0i64..4, 0i64..4, 1i64..5), 0..max)
+}
+
+/// The matchers the differential tests cover: both rules at two levels.
+fn arb_matcher() -> impl Strategy<Value = Matcher> {
+    (any::<bool>(), any::<bool>()).prop_map(|(strict, upper)| {
+        let rule = if upper {
+            MatchRule::ScaledUpperTail
+        } else {
+            MatchRule::PaperLowerTail
+        };
+        Matcher::new(if strict { 0.01 } else { 0.05 }, rule)
+    })
+}
+
+/// `Matcher::compare` as three separate passes: sort and dedup the key
+/// union, fill observed/expected vectors by lookup, sum the Pearson
+/// statistic, and compute the critical value afresh on every call. The
+/// fused single-pass comparison must reproduce it bit for bit.
+fn reference_compare(m: &Matcher, observed: &Profile, profile: &Profile) -> MatchOutcome {
+    const FLOOR: f64 = 0.5;
+    let safe = MatchOutcome {
+        his_bin: HisBin::Safe,
+        statistic: f64::INFINITY,
+        df: 0.0,
+    };
+    let (ho, hp) = (observed.histogram(), profile.histogram());
+    let (n_obs, n_prof) = (ho.total(), hp.total());
+    if n_obs == 0 || n_prof == 0 {
+        return safe;
+    }
+    if !ho.keys().any(|k| hp.count(k) > 0) {
+        return safe;
+    }
+    let mut keys: Vec<&PatternKey> = ho.keys().chain(hp.keys()).collect();
+    keys.sort();
+    keys.dedup();
+    let obs: Vec<f64> = keys.iter().map(|k| ho.count(*k) as f64).collect();
+    let exp: Vec<f64> = keys.iter().map(|k| hp.count(*k) as f64).collect();
+    if obs.len() < 2 {
+        return MatchOutcome {
+            his_bin: HisBin::Leaky,
+            statistic: 0.0,
+            df: 0.0,
+        };
+    }
+    let df = (obs.len() - 1) as f64;
+    let mut statistic = 0.0;
+    let matches = match m.rule() {
+        MatchRule::ScaledUpperTail => {
+            let scale = n_prof as f64 / n_obs as f64;
+            for (&o, &e) in obs.iter().zip(&exp) {
+                let e = e.max(FLOOR);
+                let d = o * scale - e;
+                statistic += d * d / e;
+            }
+            statistic <= chi2::inverse_cdf(1.0 - m.alpha(), df)
+        }
+        MatchRule::PaperLowerTail => {
+            for (&o, &e) in obs.iter().zip(&exp) {
+                let e = e.max(FLOOR);
+                let d = o - e;
+                statistic += d * d / e;
+            }
+            statistic >= chi2::inverse_cdf(m.alpha(), df)
+        }
+    };
+    MatchOutcome {
+        his_bin: if matches { HisBin::Leaky } else { HisBin::Safe },
+        statistic,
+        df,
+    }
+}
+
+/// Asserts the fused comparison equals the reference bit for bit, in both
+/// directions.
+fn assert_matches_reference(m: &Matcher, a: &Profile, b: &Profile) -> Result<(), TestCaseError> {
+    for (observed, profile) in [(a, b), (b, a)] {
+        let got = m.compare(observed, profile);
+        let want = reference_compare(m, observed, profile);
+        prop_assert_eq!(
+            got.statistic.to_bits(),
+            want.statistic.to_bits(),
+            "statistic {:?} vs {:?}",
+            got,
+            want
+        );
+        prop_assert_eq!(got.df.to_bits(), want.df.to_bits());
+        prop_assert_eq!(got.his_bin, want.his_bin);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn fused_compare_equals_reference_on_random_histograms(
+        obs in arb_visits(10),
+        prof in arb_visits(24),
+        kind in 0usize..3,
+        m in arb_matcher(),
+    ) {
+        let grid = test_grid();
+        let kind = [PatternKind::RegionVisits, PatternKind::RegionVisitCounts, PatternKind::MovementPattern][kind];
+        let a = Profile::from_stays(kind, &stays_in(&grid, &obs), &grid);
+        let b = Profile::from_stays(kind, &stays_in(&grid, &prof), &grid);
+        assert_matches_reference(&m, &a, &b)?;
+        // against itself: full shared support
+        assert_matches_reference(&m, &b, &b)?;
+    }
+
+    #[test]
+    fn fused_compare_equals_reference_on_edge_supports(
+        mine in arb_visits(8),
+        theirs in arb_visits(8),
+        shared in (0i64..4, 0i64..4, 1i64..5),
+        m in arb_matcher(),
+    ) {
+        // `theirs` moves 100 rows away, so its support is disjoint from
+        // `mine`; `shared` is the one cell both sides may also visit.
+        let grid = test_grid();
+        let kind = PatternKind::RegionVisits;
+        let far: Vec<(i64, i64, i64)> = theirs.iter().map(|&(r, c, b)| (r + 100, c, b)).collect();
+        let empty = Profile::new(kind);
+        let a = Profile::from_stays(kind, &stays_in(&grid, &mine), &grid);
+        let b = Profile::from_stays(kind, &stays_in(&grid, &far), &grid);
+        // an empty side
+        assert_matches_reference(&m, &a, &empty)?;
+        assert_matches_reference(&m, &empty, &empty)?;
+        // disjoint support
+        let disjoint = m.compare(&a, &b);
+        prop_assert!(!disjoint.his_bin.is_leaky());
+        assert_matches_reference(&m, &a, &b)?;
+        // exactly one shared key: `shared` plus each side's private cells
+        let with_far: Vec<(i64, i64, i64)> = far.iter().copied().chain([shared]).collect();
+        let only_shared = Profile::from_stays(kind, &stays_in(&grid, &[shared]), &grid);
+        let b_shared = Profile::from_stays(kind, &stays_in(&grid, &with_far), &grid);
+        let a_private: Vec<(i64, i64, i64)> = mine.iter().map(|&(r, c, b)| (r + 200, c, b)).chain([shared]).collect();
+        let a_shared = Profile::from_stays(kind, &stays_in(&grid, &a_private), &grid);
+        assert_matches_reference(&m, &a_shared, &b_shared)?;
+        assert_matches_reference(&m, &only_shared, &b_shared)?;
+        // a single shared category and nothing else is trivially revealed
+        prop_assert!(m.compare(&only_shared, &only_shared).his_bin.is_leaky());
+        assert_matches_reference(&m, &only_shared, &only_shared)?;
+    }
 
     #[test]
     fn stays_meet_visiting_time_and_are_ordered((trace, _) in arb_day()) {

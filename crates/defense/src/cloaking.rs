@@ -8,16 +8,21 @@
 //! enough neighbours share the cell.
 
 use crate::Lppm;
-use backwatch_geo::{Grid, LatLon, Meters};
+use backwatch_geo::{CellId, Grid, LatLon, Meters};
 use backwatch_trace::{Trace, TracePoint};
 use rand::RngCore;
+use std::collections::HashMap;
 
 /// k-anonymous hierarchical cloaking.
 #[derive(Debug, Clone)]
 pub struct KAnonymousCloaking {
     k: usize,
-    levels: Vec<Grid>,
-    anchors: Vec<LatLon>,
+    /// Every level but the coarsest, finest first, each with the number
+    /// of anchors in each of its cells (cells without anchors are absent).
+    finer: Vec<(Grid, HashMap<CellId, usize>)>,
+    /// The coarsest level, where a fix is released when no finer cell
+    /// holds `k` anchors, whatever its own occupancy.
+    coarsest: Grid,
 }
 
 impl KAnonymousCloaking {
@@ -40,10 +45,24 @@ impl KAnonymousCloaking {
         assert!(levels >= 1, "need at least one level");
         assert!(base_cell_m > 0.0, "cell size must be positive");
         assert!(!anchors.is_empty(), "population anchors must be non-empty");
-        let levels = (0..levels)
-            .map(|i| Grid::new(origin, Meters::new(base_cell_m * f64::powi(2.0, i as i32))))
+        let level = |i: usize| Grid::new(origin, Meters::new(base_cell_m * f64::powi(2.0, i as i32)));
+        // Count the anchors per cell once, so a fix costs one lookup per
+        // level instead of a rescan of the whole population.
+        let finer = (0..levels - 1)
+            .map(|i| {
+                let grid = level(i);
+                let mut occupancy = HashMap::new();
+                for a in &anchors {
+                    *occupancy.entry(grid.cell_of(*a)).or_insert(0) += 1;
+                }
+                (grid, occupancy)
+            })
             .collect();
-        Self { k, levels, anchors }
+        Self {
+            k,
+            finer,
+            coarsest: level(levels - 1),
+        }
     }
 
     /// The anonymity parameter.
@@ -52,23 +71,17 @@ impl KAnonymousCloaking {
         self.k
     }
 
-    /// Number of anchors in the cell of `grid` containing `pos`.
-    fn occupancy(&self, grid: &Grid, pos: LatLon) -> usize {
-        let cell = grid.cell_of(pos);
-        self.anchors.iter().filter(|a| grid.cell_of(**a) == cell).count()
-    }
-
     /// The released position for a true position: the center of the
     /// smallest cell holding at least `k` anchors (coarsest level as the
     /// fallback).
     #[must_use]
     pub fn cloak(&self, pos: LatLon) -> LatLon {
-        for grid in &self.levels {
-            if self.occupancy(grid, pos) >= self.k {
+        for (grid, occupancy) in &self.finer {
+            if occupancy.get(&grid.cell_of(pos)).is_some_and(|&n| n >= self.k) {
                 return grid.snap(pos);
             }
         }
-        self.levels.last().expect("at least one level").snap(pos)
+        self.coarsest.snap(pos)
     }
 }
 

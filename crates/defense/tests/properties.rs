@@ -128,4 +128,34 @@ proptest! {
             }
         }
     }
+
+    #[test]
+    fn cloak_equals_brute_force_anchor_rescan(
+        anchors in prop::collection::vec((-60i32..60, -60i32..60), 1..40),
+        positions in prop::collection::vec((-80i32..80, -80i32..80), 1..40),
+        k in 1usize..12,
+        levels in 1usize..8,
+    ) {
+        // 1e-3 degree steps (~100 m): anchors crowd some 250 m cells and
+        // leave others empty, so every level of the hierarchy gets used
+        let at = |(dlat, dlon): (i32, i32)| {
+            LatLon::new(39.9 + f64::from(dlat) * 1e-3, 116.4 + f64::from(dlon) * 1e-3).unwrap()
+        };
+        let anchors: Vec<LatLon> = anchors.into_iter().map(at).collect();
+        let mech = KAnonymousCloaking::new(origin(), Meters::new(250.0), levels, k, anchors.clone());
+        let grids: Vec<Grid> = (0..levels)
+            .map(|i| Grid::new(origin(), Meters::new(250.0 * f64::powi(2.0, i as i32))))
+            .collect();
+        for pos in positions.into_iter().map(at) {
+            // reference: rescan every anchor at each level, finest first
+            let brute = grids
+                .iter()
+                .find(|g| anchors.iter().filter(|a| g.cell_of(**a) == g.cell_of(pos)).count() >= k)
+                .unwrap_or(&grids[levels - 1])
+                .snap(pos);
+            let got = mech.cloak(pos);
+            prop_assert_eq!(got.lat().to_bits(), brute.lat().to_bits());
+            prop_assert_eq!(got.lon().to_bits(), brute.lon().to_bits());
+        }
+    }
 }

@@ -90,44 +90,44 @@ pub fn run(cfg: &ExperimentConfig, users: &[UserData], sample: usize) -> Defense
     let suite = default_suite(cfg, anchors);
     let sample = sample.min(users.len());
 
-    let rows = suite
+    // One row per mechanism; its means hold running sums until the final
+    // division. Users are the outer loop, so each sampled user is
+    // synthesized once for the whole suite; each row still sums its users
+    // in order.
+    let mut rows: Vec<DefenseRow> = suite
         .iter()
-        .map(|mech| {
-            let mut recall_sum = 0.0;
-            let mut error_sum = 0.0;
-            let mut identified = 0usize;
-            let mut detected = 0usize;
-            for u in users.iter().take(sample) {
-                let full_user = generate_user(&cfg.synth, u.user_id);
-                let ctx = EvalContext {
-                    user: &full_user,
-                    store: &store,
-                    true_profile: &u.profile2,
-                    grid: &grid,
-                    params: cfg.params,
-                    matcher: cfg.matcher,
-                };
-                let mut rng = StdRng::seed_from_u64(cfg.synth.seed ^ u64::from(u.user_id) ^ 0xDEF);
-                let outcome = evaluate(mech.as_ref(), &ctx, &mut rng);
-                recall_sum += outcome.poi_recall;
-                error_sum += outcome.mean_error_m;
-                if outcome.identified {
-                    identified += 1;
-                }
-                if outcome.detection_fraction.is_some() {
-                    detected += 1;
-                }
-            }
-            DefenseRow {
-                mechanism: mech.name().to_owned(),
-                mean_recall: recall_sum / sample.max(1) as f64,
-                mean_error_m: error_sum / sample.max(1) as f64,
-                identified,
-                detected,
-                users: sample,
-            }
+        .map(|mech| DefenseRow {
+            mechanism: mech.name().to_owned(),
+            mean_recall: 0.0,
+            mean_error_m: 0.0,
+            identified: 0,
+            detected: 0,
+            users: sample,
         })
         .collect();
+    for u in users.iter().take(sample) {
+        let full_user = generate_user(&cfg.synth, u.user_id);
+        let ctx = EvalContext {
+            user: &full_user,
+            store: &store,
+            true_profile: &u.profile2,
+            grid: &grid,
+            params: cfg.params,
+            matcher: cfg.matcher,
+        };
+        for (mech, row) in suite.iter().zip(&mut rows) {
+            let mut rng = StdRng::seed_from_u64(cfg.synth.seed ^ u64::from(u.user_id) ^ 0xDEF);
+            let outcome = evaluate(mech.as_ref(), &ctx, &mut rng);
+            row.mean_recall += outcome.poi_recall;
+            row.mean_error_m += outcome.mean_error_m;
+            row.identified += usize::from(outcome.identified);
+            row.detected += usize::from(outcome.detection_fraction.is_some());
+        }
+    }
+    for row in &mut rows {
+        row.mean_recall /= sample.max(1) as f64;
+        row.mean_error_m /= sample.max(1) as f64;
+    }
     DefenseResult { rows }
 }
 

@@ -11,7 +11,7 @@ use crate::prepare::UserData;
 use crate::ExperimentConfig;
 use backwatch_core::hisbin::detect_incremental;
 use backwatch_core::pattern::PatternKind;
-use backwatch_core::poi::SpatioTemporalExtractor;
+use backwatch_core::poi::{SpatioTemporalExtractor, Stay};
 use backwatch_trace::sampling;
 use backwatch_trace::synth::generate_user;
 use rand::rngs::StdRng;
@@ -50,63 +50,60 @@ pub struct FgBgResult {
 pub fn run(cfg: &ExperimentConfig, users: &[UserData], min_interval_s: i64) -> FgBgResult {
     let grid = cfg.grid();
     let extractor = SpatioTemporalExtractor::new(cfg.params);
-    let rows = cfg
+    let detects = |stays: &[Stay], fixes: usize, u: &UserData| {
+        detect_incremental(
+            stays,
+            fixes.max(1),
+            &grid,
+            PatternKind::MovementPattern,
+            &cfg.matcher,
+            &u.profile2,
+        )
+        .is_some()
+    };
+    // One accumulator per analysed interval: its index, its row and the
+    // users' summed fix budgets. Users are the outer loop, so each trace is
+    // synthesized once for every budget; each row still sums its users in
+    // order.
+    let mut acc: Vec<(usize, FgBgRow, usize)> = cfg
         .intervals
         .iter()
         .enumerate()
         .filter(|&(_, &i)| i >= min_interval_s)
         .map(|(k, &interval_s)| {
-            let mut bg_pois = 0;
-            let mut fg_pois = 0;
-            let mut bg_detected = 0;
-            let mut fg_detected = 0;
-            let mut budget_sum = 0usize;
-            for u in users {
-                let bg = &u.per_interval[k];
-                let budget = bg.collected_points;
-                budget_sum += budget;
-                bg_pois += bg.stays.len();
-                if detect_incremental(
-                    &bg.stays,
-                    bg.collected_points.max(1),
-                    &grid,
-                    PatternKind::MovementPattern,
-                    &cfg.matcher,
-                    &u.profile2,
-                )
-                .is_some()
-                {
-                    bg_detected += 1;
-                }
-                // Foreground: the same budget as isolated interactions.
-                // Regenerate the trace (prepared users drop it) — cheap and
-                // deterministic.
-                let trace = generate_user(&cfg.synth, u.user_id).trace;
-                let mut rng = StdRng::seed_from_u64(cfg.synth.seed ^ u64::from(u.user_id) ^ 0xF6B6);
-                let fg_trace = sampling::foreground_sessions(&trace, budget, &mut rng);
-                let fg_stays = extractor.extract(&fg_trace);
-                fg_pois += fg_stays.len();
-                if detect_incremental(
-                    &fg_stays,
-                    fg_trace.len().max(1),
-                    &grid,
-                    PatternKind::MovementPattern,
-                    &cfg.matcher,
-                    &u.profile2,
-                )
-                .is_some()
-                {
-                    fg_detected += 1;
-                }
-            }
-            FgBgRow {
+            let row = FgBgRow {
                 interval_s,
-                mean_budget: budget_sum as f64 / users.len().max(1) as f64,
-                bg_pois,
-                fg_pois,
-                bg_detected,
-                fg_detected,
-            }
+                mean_budget: 0.0,
+                bg_pois: 0,
+                fg_pois: 0,
+                bg_detected: 0,
+                fg_detected: 0,
+            };
+            (k, row, 0)
+        })
+        .collect();
+    for u in users {
+        // Regenerate the trace (prepared users drop it) — deterministic.
+        let trace = generate_user(&cfg.synth, u.user_id).trace;
+        for (k, row, budget_sum) in &mut acc {
+            let bg = &u.per_interval[*k];
+            let budget = bg.collected_points;
+            *budget_sum += budget;
+            row.bg_pois += bg.stays.len();
+            row.bg_detected += usize::from(detects(&bg.stays, bg.collected_points, u));
+            // Foreground: the same budget as isolated interactions.
+            let mut rng = StdRng::seed_from_u64(cfg.synth.seed ^ u64::from(u.user_id) ^ 0xF6B6);
+            let fg_trace = sampling::foreground_sessions(&trace, budget, &mut rng);
+            let fg_stays = extractor.extract(&fg_trace);
+            row.fg_pois += fg_stays.len();
+            row.fg_detected += usize::from(detects(&fg_stays, fg_trace.len(), u));
+        }
+    }
+    let rows = acc
+        .into_iter()
+        .map(|(_, row, budget_sum)| FgBgRow {
+            mean_budget: budget_sum as f64 / users.len().max(1) as f64,
+            ..row
         })
         .collect();
     FgBgResult { rows }

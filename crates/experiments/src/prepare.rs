@@ -72,10 +72,17 @@ fn prepare_one(cfg: &ExperimentConfig, user_idx: u32) -> UserData {
         .iter()
         .map(|&interval_s| {
             let indices = sampling::downsample_indices(&user.trace, Seconds::new(interval_s));
+            // The indices strictly increase, so keeping every fix means the
+            // view is the whole trace in order: its stays are `full_stays`.
+            let stays = if indices.len() == projected.len() {
+                full_stays.clone()
+            } else {
+                extractor.extract_sampled_soa(&projected, &indices)
+            };
             IntervalData {
                 interval_s,
                 collected_points: indices.len(),
-                stays: extractor.extract_sampled_soa(&projected, &indices),
+                stays,
             }
         })
         .collect();
@@ -170,6 +177,28 @@ mod tests {
             assert_eq!(at_1s.interval_s, 1);
             assert_eq!(at_1s.stays, u.full_stays);
             assert_eq!(at_1s.collected_points, u.trace_len);
+        }
+    }
+
+    #[test]
+    fn every_interval_matches_a_sampled_extraction() {
+        // prepare reuses `full_stays` where the view keeps every fix; each
+        // interval must still hold exactly what extracting its view yields
+        let cfg = ExperimentConfig::small();
+        let extractor = SpatioTemporalExtractor::new(cfg.params);
+        for u in prepare_users(&cfg) {
+            let user = generate_user(&cfg.synth, u.user_id);
+            let projected = SoaProjectedTrace::project(&user.trace);
+            for d in &u.per_interval {
+                let indices = sampling::downsample_indices(&user.trace, Seconds::new(d.interval_s));
+                assert_eq!(d.collected_points, indices.len());
+                assert_eq!(
+                    d.stays,
+                    extractor.extract_sampled_soa(&projected, &indices),
+                    "interval {}",
+                    d.interval_s
+                );
+            }
         }
     }
 

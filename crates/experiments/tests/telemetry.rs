@@ -108,7 +108,10 @@ fn snapshot_counts_match_population() {
     let synth_users = backwatch_trace::obs::SYNTH_USERS.get() - users0;
     let passes = backwatch_core::obs::POI_PASSES.get() - passes0;
     assert_eq!(synth_users, u64::from(cfg.synth.n_users));
-    // per user: one full extraction, one per interval, one rotated
-    assert_eq!(passes, u64::from(cfg.synth.n_users) * (cfg.intervals.len() as u64 + 2));
+    // per user: one full extraction, one per interval except 1 s (whose
+    // view is the whole trace, so it reuses the full extraction), one
+    // rotated
+    assert_eq!(cfg.intervals.iter().filter(|&&i| i == 1).count(), 1);
+    assert_eq!(passes, u64::from(cfg.synth.n_users) * (cfg.intervals.len() as u64 + 1));
     drop(users);
 }

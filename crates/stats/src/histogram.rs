@@ -3,10 +3,13 @@
 //! Both of the paper's profile representations are count histograms over a
 //! discrete key space: regions (pattern 1) or movement transitions
 //! (pattern 2). [`CountHistogram`] stores counts sparsely and supports the
-//! alignment operation needed by the chi-square comparison: producing
-//! observed/expected vectors over the union of the two key sets.
+//! alignment operation needed by the chi-square comparison: pairing
+//! observed/expected counts over the union of the two key sets, either as
+//! a merge-join ([`CountHistogram::union_counts`]) or as two vectors
+//! ([`CountHistogram::align`]).
 
 use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::hash::Hash;
 
@@ -122,6 +125,31 @@ impl<K: Ord> CountHistogram<K> {
         }
     }
 
+    /// Walks the union of both key sets in key order, yielding
+    /// `(self_count, other_count)` per key (zero on the side that lacks
+    /// it).
+    ///
+    /// Both maps are already sorted, so this is a merge-join: one pass, no
+    /// allocation and no lookups.
+    pub fn union_counts<'a>(&'a self, other: &'a CountHistogram<K>) -> impl Iterator<Item = (u64, u64)> + 'a {
+        let mut mine = self.counts.iter().peekable();
+        let mut theirs = other.counts.iter().peekable();
+        std::iter::from_fn(move || {
+            let order = match (mine.peek(), theirs.peek()) {
+                (Some((a, _)), Some((b, _))) => a.cmp(b),
+                (Some(_), None) => Ordering::Less,
+                (None, Some(_)) => Ordering::Greater,
+                (None, None) => return None,
+            };
+            let count = |entry: Option<(&K, &u64)>| entry.map_or(0, |(_, &c)| c);
+            Some(match order {
+                Ordering::Less => (count(mine.next()), 0),
+                Ordering::Greater => (0, count(theirs.next())),
+                Ordering::Equal => (count(mine.next()), count(theirs.next())),
+            })
+        })
+    }
+
     /// Aligns `self` (observed) against `profile` (expected) over the union
     /// of both key sets, returning parallel count vectors in key order.
     ///
@@ -129,16 +157,8 @@ impl<K: Ord> CountHistogram<K> {
     /// This is exactly the shape [`crate::chi2::GofTest::run`] consumes
     /// (after the caller substitutes its floor for zero expected counts).
     #[must_use]
-    pub fn align(&self, profile: &CountHistogram<K>) -> (Vec<f64>, Vec<f64>)
-    where
-        K: Clone,
-    {
-        let mut keys: Vec<&K> = self.counts.keys().chain(profile.counts.keys()).collect();
-        keys.sort();
-        keys.dedup();
-        let observed = keys.iter().map(|k| self.count(k) as f64).collect();
-        let expected = keys.iter().map(|k| profile.count(k) as f64).collect();
-        (observed, expected)
+    pub fn align(&self, profile: &CountHistogram<K>) -> (Vec<f64>, Vec<f64>) {
+        self.union_counts(profile).map(|(o, e)| (o as f64, e as f64)).unzip()
     }
 }
 
@@ -225,6 +245,15 @@ mod tests {
         // union keys sorted: a, b, c
         assert_eq!(o, vec![2.0, 0.0, 1.0]);
         assert_eq!(e, vec![1.0, 3.0, 0.0]);
+        let merged: Vec<(u64, u64)> = obs.union_counts(&prof).collect();
+        assert_eq!(merged, vec![(2, 1), (0, 3), (1, 0)]);
+        // the join is symmetric, and an empty side yields the other alone
+        let swapped: Vec<(u64, u64)> = prof.union_counts(&obs).collect();
+        assert_eq!(swapped, vec![(1, 2), (3, 0), (0, 1)]);
+        let empty = CountHistogram::new();
+        assert_eq!(obs.union_counts(&empty).collect::<Vec<_>>(), vec![(2, 0), (1, 0)]);
+        assert_eq!(empty.union_counts(&prof).collect::<Vec<_>>(), vec![(0, 1), (0, 3)]);
+        assert_eq!(empty.union_counts(&empty).count(), 0);
     }
 
     #[test]

@@ -75,6 +75,22 @@ proptest! {
     }
 
     #[test]
+    fn union_counts_equals_sorted_key_lookup(
+        a in prop::collection::vec(0u32..20, 0..100),
+        b in prop::collection::vec(0u32..20, 0..100),
+    ) {
+        // reference: collect both key sets, sort, dedup, look each up
+        let ha: CountHistogram<u32> = a.iter().copied().collect();
+        let hb: CountHistogram<u32> = b.iter().copied().collect();
+        let mut keys: Vec<u32> = ha.keys().chain(hb.keys()).copied().collect();
+        keys.sort_unstable();
+        keys.dedup();
+        let reference: Vec<(u64, u64)> = keys.iter().map(|k| (ha.count(k), hb.count(k))).collect();
+        let merged: Vec<(u64, u64)> = ha.union_counts(&hb).collect();
+        prop_assert_eq!(merged, reference);
+    }
+
+    #[test]
     fn entropy_bounded_by_log_n(weights in prop::collection::vec(0.001f64..100.0, 1..64)) {
         let probs = entropy::normalize(&weights).unwrap();
         let h = entropy::shannon_bits(&probs);
