@@ -276,11 +276,8 @@ mod tests {
         let before = crate::obs::DUMPSYS_BAD_STATE.get();
         let _ = parse("    Receiver[com.x Request[gps interval=5s]] (weird)\n");
         let after = crate::obs::DUMPSYS_BAD_STATE.get();
-        // at least our own bump (other tests may add more concurrently);
-        // with obs built `disabled` the registry is empty and counters stay 0
-        if !backwatch_obs::snapshot().samples.is_empty() {
-            assert!(after > before, "bad-state counter did not move");
-        }
+        // at least our own bump (other tests may add more concurrently)
+        assert!(after > before, "bad-state counter did not move");
     }
 
     #[test]

@@ -18,7 +18,7 @@ use backwatch_defense::throttle::ReleaseThrottle;
 use backwatch_defense::truncation::GridTruncation;
 use backwatch_defense::{Lppm, NoDefense};
 use backwatch_geo::{Grid, Meters, Seconds};
-use backwatch_trace::synth::generate_user;
+use backwatch_trace::synth::{generate_home, generate_user};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt::Write as _;
@@ -82,11 +82,8 @@ pub fn run(cfg: &ExperimentConfig, users: &[UserData], sample: usize) -> Defense
     for u in users {
         store.insert(u.user_id, u.profile2.clone());
     }
-    // Anchors (homes) for the cloaking mechanism: place 0 of each user.
-    let anchors: Vec<_> = users
-        .iter()
-        .map(|u| generate_user(&cfg.synth, u.user_id).places[0].pos)
-        .collect();
+    // Anchors (homes) for the cloaking mechanism.
+    let anchors: Vec<_> = users.iter().map(|u| generate_home(&cfg.synth, u.user_id)).collect();
     let suite = default_suite(cfg, anchors);
     let sample = sample.min(users.len());
 

@@ -254,14 +254,14 @@ fn user_cells(
 
     let mut memo: HashMap<(usize, u64), CellOutcome> = HashMap::new();
     let mut out = Vec::with_capacity(SHARES.len() * KS.len());
-    for si in 0..member.len() {
+    for (si, links) in member.iter().enumerate() {
         for &k in &KS {
             let k = k.min(max_k);
             let mask: u64 = roster
                 .iter()
                 .take(k)
                 .enumerate()
-                .filter(|&(_, &pos)| member[si][pos])
+                .filter(|&(_, &pos)| links[pos])
                 .fold(0u64, |m, (j, _)| m | (1u64 << j));
             let outcome = *memo.entry((si, mask)).or_insert_with(|| {
                 let streams: Vec<AppStream> = roster
@@ -269,7 +269,7 @@ fn user_cells(
                     .take(k)
                     .enumerate()
                     .map(|(j, &pos)| {
-                        let sdk = member[si][pos].then_some(sdk_digest);
+                        let sdk = links[pos].then_some(sdk_digest);
                         AppStream::new(bg[pos].slot as u32, sdk, streams_of[j].clone())
                     })
                     .collect();

@@ -16,19 +16,10 @@ use std::sync::Mutex;
 
 static COUNTER_LOCK: Mutex<()> = Mutex::new(());
 
-/// Whether obs was compiled with the `disabled` feature (empty registry:
-/// every counter stays 0 and the invariants are vacuous).
-fn obs_active() -> bool {
-    obs::register_all();
-    !backwatch_obs::snapshot().samples.is_empty()
-}
-
 #[test]
 fn planar_refine_fraction_stays_under_one_percent() {
     let _guard = COUNTER_LOCK.lock().unwrap();
-    if !obs_active() {
-        return;
-    }
+    obs::register_all();
     let certified0 = backwatch_core::obs::POI_PLANAR_CERTIFIED.get();
     let refined0 = backwatch_core::obs::POI_PLANAR_REFINED.get();
 
@@ -50,9 +41,7 @@ fn planar_refine_fraction_stays_under_one_percent() {
 #[test]
 fn dumpsys_round_trip_drops_no_lines() {
     let _guard = COUNTER_LOCK.lock().unwrap();
-    if !obs_active() {
-        return;
-    }
+    obs::register_all();
     let rendered0 = backwatch_android::obs::DUMPSYS_LINES_RENDERED.get();
     let parsed0 = backwatch_android::obs::DUMPSYS_ENTRIES_PARSED.get();
     let errors0 = backwatch_android::obs::DUMPSYS_PARSE_ERRORS.get();
@@ -77,9 +66,7 @@ fn dumpsys_round_trip_drops_no_lines() {
 #[test]
 fn map_users_claims_every_index_exactly_once() {
     let _guard = COUNTER_LOCK.lock().unwrap();
-    if !obs_active() {
-        return;
-    }
+    obs::register_all();
     for (n_users, threads) in [(0u32, 3), (1, 4), (57, 1), (57, 4), (200, 8)] {
         let claimed0 = backwatch_experiments::obs::POOL_TASKS_CLAIMED.get();
         let out = pool::map_users(n_users, threads, |i| i);
@@ -96,9 +83,7 @@ fn map_users_claims_every_index_exactly_once() {
 #[test]
 fn snapshot_counts_match_population() {
     let _guard = COUNTER_LOCK.lock().unwrap();
-    if !obs_active() {
-        return;
-    }
+    obs::register_all();
     let users0 = backwatch_trace::obs::SYNTH_USERS.get();
     let passes0 = backwatch_core::obs::POI_PASSES.get();
 

@@ -19,12 +19,12 @@
 //! signatures, which lets the analysis rebuild Table I without running a
 //! single app. Soundness caveats (reflection, ICC) are in DESIGN.md §10.
 //!
-//! This module holds the only reachability engine: a worklist BFS over
-//! per-class [`ClassSummary`] facts (`ReachView::explore`) and one
-//! `classify` step that buckets entry points, gates, and infers
-//! providers. The uncached oracle ([`analyze_entry`], [`analyze`])
-//! summarizes every class afresh; the cached sweep
-//! ([`crate::summary::analyze_entry_cached`]) feeds the same engine
+//! This module holds the only reachability engine: a worklist BFS
+//! (`explore`) over a `summary::MethodIndex`, whose call sites and entry
+//! points are resolved once per composed program, and one `classify`
+//! step that gates and infers providers. The uncached oracle
+//! ([`analyze_entry`], [`analyze`]) indexes freshly summarized classes;
+//! the cached sweep ([`crate::summary::analyze_entry_cached`]) indexes
 //! cache-resident summaries plus a folded SDK fragment. Every
 //! `market.reach.*` classification counter has one bump site here.
 //!
@@ -37,12 +37,12 @@
 use crate::corpus::{MarketApp, ProviderCombo};
 use crate::sdk::SdkLib;
 use crate::stats::ProviderTable;
-use crate::summary::{summarize_class, ClassSummary, FragReach, FragmentSummary, MethodSummary};
+use crate::summary::{summarize_class, ClassSummary, FragReach, MethodIndex, Target};
 use backwatch_android::app::{App, ComponentKind, Manifest};
 use backwatch_android::ir::{self, IrInstr, IrProgram};
-use backwatch_android::permission::{LocationClaim, Permission};
+use backwatch_android::permission::LocationClaim;
 use backwatch_android::provider::ProviderKind;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// The four classes the static analyzer assigns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -173,132 +173,62 @@ impl ReachReport {
     }
 }
 
-/// The worklist surface: summarized methods by id, plus an optional
-/// shared-library fragment folded as precomputed transitive facts. The
-/// oracle builds it from freshly summarized classes with no fragment
-/// (the fragment's classes are composed inline); the cached sweep builds
-/// it from cache-resident summaries and folds the [`FragmentSummary`].
-pub(crate) struct ReachView<'a> {
-    ids: HashMap<(&'a str, &'a str), usize>,
-    methods: Vec<&'a MethodSummary>,
-    classes: HashSet<&'a str>,
-    fragment: Option<&'a FragmentSummary>,
-}
-
-impl<'a> ReachView<'a> {
-    pub(crate) fn new(summaries: impl IntoIterator<Item = &'a ClassSummary>, fragment: Option<&'a FragmentSummary>) -> Self {
-        let mut ids = HashMap::new();
-        let mut methods = Vec::new();
-        let mut classes = HashSet::new();
-        for class in summaries {
-            classes.insert(class.name.as_str());
-            for (name, ms) in &class.methods {
-                ids.insert((class.name.as_str(), name.as_str()), methods.len());
-                methods.push(ms);
-            }
-        }
-        Self {
-            ids,
-            methods,
-            classes,
-            fragment,
-        }
-    }
-
-    fn defines_class(&self, class: &str) -> bool {
-        self.classes.contains(class) || self.fragment.is_some_and(|f| f.defines_class(class))
-    }
-
-    /// Seeds or traverses one call target: summarized methods enter the
-    /// BFS, fragment methods fold their precomputed transitive facts,
-    /// everything else is a framework edge (the sinks included) and stops.
-    fn touch(&self, class: &str, method: &str, visited: &mut [bool], queue: &mut VecDeque<usize>, found: &mut FragReach) {
-        if let Some(&id) = self.ids.get(&(class, method)) {
-            if let Some(slot) = visited.get_mut(id) {
-                if !*slot {
-                    *slot = true;
-                    queue.push_back(id);
+/// Worklist BFS over the index from `entries` with a visited set (so
+/// call cycles terminate): own methods enter the queue, fragment methods
+/// fold their precomputed transitive facts, framework edges (the sinks
+/// included) stop. Does any reached method invoke a sink, and which
+/// providers do the reached sink call sites evidence — provider-named
+/// string constants beside a `LocationManager` sink, plus the fused
+/// provider for a fused-client sink.
+pub(crate) fn explore<'a>(index: &MethodIndex<'a>, entries: impl IntoIterator<Item = Target<'a>>) -> FragReach {
+    let mut found = FragReach::default();
+    let mut visited = vec![false; index.len()];
+    let mut queue: VecDeque<Target<'a>> = entries.into_iter().collect();
+    while let Some(target) = queue.pop_front() {
+        match target {
+            Target::Own(id) => {
+                match visited.get_mut(id) {
+                    Some(seen) if !*seen => *seen = true,
+                    _ => continue,
                 }
+                let Some((ms, sites, _)) = index.method(id) else { continue };
+                if ms.manager_sink {
+                    found.sink = true;
+                    found.providers.extend(ms.const_providers.iter().copied());
+                }
+                if ms.fused_sink {
+                    found.sink = true;
+                    found.providers.insert(ProviderKind::Fused);
+                }
+                queue.extend(sites);
             }
-        } else if let Some(reach) = self.fragment.and_then(|f| f.reach(class, method)) {
-            found.sink |= reach.sink;
-            found.providers.extend(reach.providers.iter().copied());
+            Target::Fragment(row) => {
+                found.sink |= row.reach.sink;
+                found.providers.extend(row.reach.providers.iter().copied());
+            }
+            Target::Framework => {}
         }
     }
-
-    /// Worklist BFS from `entries` with a visited set (so call cycles
-    /// terminate): does any reached method invoke a sink, and which
-    /// providers do the reached sink call sites evidence — provider-named
-    /// string constants beside a `LocationManager` sink, plus the fused
-    /// provider for a fused-client sink.
-    pub(crate) fn explore(&self, entries: &[(String, String)]) -> FragReach {
-        let mut found = FragReach {
-            sink: false,
-            providers: BTreeSet::new(),
-        };
-        let mut visited = vec![false; self.methods.len()];
-        let mut queue = VecDeque::new();
-        for (class, method) in entries {
-            self.touch(class, method, &mut visited, &mut queue, &mut found);
-        }
-        while let Some(id) = queue.pop_front() {
-            let Some(&ms) = self.methods.get(id) else { continue };
-            if ms.manager_sink {
-                found.sink = true;
-                found.providers.extend(ms.const_providers.iter().copied());
-            }
-            if ms.fused_sink {
-                found.sink = true;
-                found.providers.insert(ProviderKind::Fused);
-            }
-            for (class, method) in &ms.callees {
-                self.touch(class, method, &mut visited, &mut queue, &mut found);
-            }
-        }
-        found
-    }
+    found
 }
 
-/// Classifies one app over a view: buckets the manifest's entry points by
-/// the lifecycle that invokes them, applies the permission gate and the
+/// Classifies one app over its index: explores the entry buckets the
+/// index resolved from the manifest, applies the permission gate and the
 /// class precedence, and infers providers. The only place
 /// `market.reach.{apps_classified,background_apps,missing_components}_total`
 /// advance, so the oracle and the cached sweep move them identically by
 /// construction.
-pub(crate) fn classify(manifest: &Manifest, view: &ReachView<'_>) -> ProgramAnalysis {
-    let mut missing_components = 0usize;
-    let mut activity_entries: Vec<(String, String)> = Vec::new();
-    let mut service_entries: Vec<(String, String)> = Vec::new();
-    let mut boot_entries: Vec<(String, String)> = Vec::new();
-    let boot_permitted = manifest.permissions().contains(&Permission::ReceiveBootCompleted);
-    for component in manifest.components() {
-        let class = component.class_path(manifest.package());
-        if !view.defines_class(&class) {
-            missing_components += 1;
-            crate::obs::REACH_MISSING_COMPONENTS.inc();
-            continue;
-        }
-        let bucket: &mut Vec<(String, String)> = match component.kind {
-            ComponentKind::Activity => &mut activity_entries,
-            ComponentKind::Service => &mut service_entries,
-            ComponentKind::Receiver if component.is_boot_receiver() && boot_permitted => &mut boot_entries,
-            // non-boot receivers fire only while the app is interacting
-            // with the user, so they gate nothing beyond foreground
-            ComponentKind::Receiver => &mut activity_entries,
-        };
-        for m in ir::entry_methods(component.kind) {
-            bucket.push((class.clone(), (*m).to_owned()));
-        }
-    }
-
+pub(crate) fn classify(manifest: &Manifest, index: &MethodIndex<'_>) -> ProgramAnalysis {
+    crate::obs::REACH_MISSING_COMPONENTS.add(index.missing as u64);
+    let [activity, service, boot] = &index.roots;
     let class = if !manifest.location_claim().declares_location() {
         // the permission gate: reachable or not, registration would throw
         ReachClass::NonAccessor
-    } else if view.explore(&boot_entries).sink {
+    } else if explore(index, boot.iter().copied()).sink {
         ReachClass::AutoStart
-    } else if view.explore(&service_entries).sink {
+    } else if explore(index, service.iter().copied()).sink {
         ReachClass::BackgroundCapable
-    } else if view.explore(&activity_entries).sink {
+    } else if explore(index, activity.iter().copied()).sink {
         ReachClass::ForegroundOnly
     } else {
         ReachClass::NonAccessor
@@ -307,13 +237,7 @@ pub(crate) fn classify(manifest: &Manifest, view: &ReachView<'_>) -> ProgramAnal
     let providers = if class == ReachClass::NonAccessor {
         BTreeSet::new()
     } else {
-        let all: Vec<(String, String)> = activity_entries
-            .iter()
-            .chain(&service_entries)
-            .chain(&boot_entries)
-            .cloned()
-            .collect();
-        view.explore(&all).providers
+        explore(index, index.roots.iter().flatten().copied()).providers
     };
     crate::obs::REACH_APPS_CLASSIFIED.inc();
     if class.accesses_in_background() {
@@ -322,7 +246,7 @@ pub(crate) fn classify(manifest: &Manifest, view: &ReachView<'_>) -> ProgramAnal
     ProgramAnalysis {
         class,
         providers,
-        missing_components,
+        missing_components: index.missing,
     }
 }
 
@@ -360,12 +284,12 @@ pub(crate) fn unparsed(manifest: &Manifest) -> ReachFinding {
 }
 
 /// Analyzes one program against its manifest: summarize every class (no
-/// cache), then `classify` with no fragment fold.
+/// cache), index with no fragment fold, then `classify`.
 #[must_use]
 pub fn analyze_program(manifest: &Manifest, program: &IrProgram) -> ProgramAnalysis {
     crate::obs::register();
     let summaries: Vec<ClassSummary> = program.classes.iter().map(summarize_class).collect();
-    classify(manifest, &ReachView::new(&summaries, None))
+    classify(manifest, &MethodIndex::new(Some(manifest), &summaries, None))
 }
 
 /// Lowers a corpus entry's own code and, when it links the shared SDK,
@@ -406,20 +330,26 @@ fn wire_sdk(program: &mut IrProgram, manifest: &Manifest, sdk: &SdkLib) {
 /// SDK behave exactly like [`analyze_app`].
 #[must_use]
 pub fn analyze_entry(entry: &MarketApp) -> ReachFinding {
-    analyze_entry_inner(entry).0
+    analyze_entry_with(entry, |_, _| ()).0
 }
 
-/// [`analyze_entry`] plus the composed program's class summaries, `None`
-/// when the IR text round-trip failed. The fragment's classes are
-/// composed inline rather than folded as a [`FragmentSummary`], so the
-/// cached sweep's fold is checked against an independent composition.
-pub(crate) fn analyze_entry_inner(entry: &MarketApp) -> (ReachFinding, Option<Vec<ClassSummary>>) {
+/// [`analyze_entry`], then `then` over the composed program's index and
+/// its finding; `None` in place of `then`'s result when the IR text
+/// round-trip failed. The fragment's classes are composed inline rather
+/// than folded as a [`FragmentSummary`], so the cached sweep's fold is
+/// checked against an independent composition.
+///
+/// [`FragmentSummary`]: crate::summary::FragmentSummary
+pub(crate) fn analyze_entry_with<T>(
+    entry: &MarketApp,
+    then: impl FnOnce(&MethodIndex<'_>, &ReachFinding) -> T,
+) -> (ReachFinding, Option<T>) {
     crate::obs::register();
     let mut program = lower_with_sdk(entry);
     if let Some(sdk) = &entry.sdk {
         program.classes.extend(sdk.program().classes.iter().cloned());
     }
-    finish_app_analysis(entry.app.manifest(), &ir::render(&program))
+    finish_app_analysis(entry.app.manifest(), &ir::render(&program), then)
 }
 
 /// Analyzes one app end to end: lower to IR, round-trip through the text
@@ -429,20 +359,25 @@ pub(crate) fn analyze_entry_inner(entry: &MarketApp) -> (ReachFinding, Option<Ve
 #[must_use]
 pub fn analyze_app(app: &App) -> ReachFinding {
     crate::obs::register();
-    finish_app_analysis(app.manifest(), &ir::render(&ir::lower(app))).0
+    finish_app_analysis(app.manifest(), &ir::render(&ir::lower(app)), |_, _| ()).0
 }
 
-/// The shared tail of [`analyze_app`] and [`analyze_entry`]: parse the
-/// rendered IR text, summarize it without a cache, and classify it
-/// against the manifest. Also hands the summaries back (`None` on a
-/// parse failure) so the taint oracle replays the same per-method op
-/// streams without lowering the program a second time.
-fn finish_app_analysis(manifest: &Manifest, text: &str) -> (ReachFinding, Option<Vec<ClassSummary>>) {
+/// The shared tail of [`analyze_app`] and [`analyze_entry_with`]: parse
+/// the rendered IR text, summarize and index it without a cache, classify
+/// it against the manifest, and hand the index to `then` (the taint
+/// oracle reads the same index rather than lowering the program again).
+fn finish_app_analysis<T>(
+    manifest: &Manifest,
+    text: &str,
+    then: impl FnOnce(&MethodIndex<'_>, &ReachFinding) -> T,
+) -> (ReachFinding, Option<T>) {
     match ir::parse(text) {
         Ok(program) => {
             let summaries: Vec<ClassSummary> = program.classes.iter().map(summarize_class).collect();
-            let analysis = classify(manifest, &ReachView::new(&summaries, None));
-            (finding(manifest, analysis), Some(summaries))
+            let index = MethodIndex::new(Some(manifest), &summaries, None);
+            let finding = finding(manifest, classify(manifest, &index));
+            let after = then(&index, &finding);
+            (finding, Some(after))
         }
         Err(_) => (unparsed(manifest), None),
     }
@@ -456,8 +391,8 @@ pub fn analyze(corpus: &[MarketApp]) -> ReachReport {
     let findings: Vec<ReachFinding> = corpus
         .iter()
         .map(|e| {
-            let (f, summaries) = analyze_entry_inner(e);
-            parse_failures += usize::from(summaries.is_none());
+            let (f, parsed) = analyze_entry_with(e, |_, _| ());
+            parse_failures += usize::from(parsed.is_none());
             f
         })
         .collect();
@@ -470,6 +405,7 @@ mod tests {
     use crate::corpus::{generate, CorpusConfig, Quotas};
     use backwatch_android::app::{AppBuilder, Component, LocationBehavior, ACTION_BOOT_COMPLETED, ACTION_MAIN};
     use backwatch_android::ir::{IrClass, IrMethod};
+    use backwatch_android::permission::Permission;
 
     fn manifest_with(components: Vec<Component>, perms: &[Permission]) -> Manifest {
         let mut b = backwatch_android::app::ManifestBuilder::new("com.t.app");

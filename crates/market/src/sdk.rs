@@ -41,7 +41,7 @@ pub struct SdkLib {
 }
 
 impl SdkLib {
-    fn from_program(program: IrProgram) -> Self {
+    pub(crate) fn from_program(program: IrProgram) -> Self {
         let digest = ir::digest_program(&program);
         Self { program, digest }
     }

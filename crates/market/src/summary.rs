@@ -1,26 +1,24 @@
-//! Content-hash summary cache: per-class reachability summaries keyed by
-//! IR digest, so corpus sweeps compose cached facts instead of re-walking
-//! shared code.
+//! Content-hash summary cache: per-class summaries keyed by IR digest, so
+//! corpus sweeps compose cached facts instead of re-walking shared code.
 //!
 //! The structural bet (from the ad-SDK tracking literature) is that
 //! market code is massively shared: the same library classes appear in
 //! thousands of apps, hash to the same [`ir::digest_class`] value, and
 //! therefore need summarizing exactly once. A [`ClassSummary`] records,
-//! per method, everything the reachability pass ever asks of a class —
-//! its call edges, whether it invokes a `LocationManager` or fused-client
-//! sink, and which provider string constants sit next to the manager
-//! sinks — plus the method's taint op stream.
+//! in one pass over each method, everything either analysis pass asks
+//! of a class: call sites, static fields, `LocationManager` and
+//! fused-client sinks, the provider string constants beside the manager
+//! sinks, and the taint op stream.
 //!
-//! The reachability engine itself lives in [`crate::reach`] and is the
-//! same for both paths: the uncached oracle summarizes every class of
-//! the composed program afresh and explores with no fragment fold;
-//! [`analyze_entry_cached`] explores cache-resident summaries instead
-//! and folds the linked SDK as one [`FragmentSummary`] — the
-//! *transitive* sink/provider facts of every fragment method, computed
-//! by the same exploration once per fragment digest, so a million apps
-//! embedding the fragment cost one fragment analysis total. What this
-//! module adds is therefore exactly what caching adds: digest keying,
-//! bounded eviction, the fragment fold, and the app-level digest.
+//! Both passes walk one `MethodIndex` per composed program, which
+//! resolves every call site once: to an own method, a method of the
+//! folded SDK fragment, or a framework edge. The uncached oracle indexes
+//! freshly summarized classes with no fragment (its classes composed
+//! inline); [`analyze_entry_cached`] indexes cache-resident summaries and
+//! folds the linked SDK as one [`FragmentSummary`]: a table holding, per
+//! fragment method, the *transitive* sink/provider facts and the taint
+//! outcome at every lattice input, computed once per fragment digest, so
+//! a million apps embedding the fragment cost one fragment analysis.
 //!
 //! Correctness contract: for every corpus entry, the finding returned
 //! here is bit-identical to [`crate::reach::analyze_entry`], and the
@@ -30,20 +28,23 @@
 //! discusses the FNV-vs-cryptographic-hash tradeoff.
 
 use crate::corpus::MarketApp;
-use crate::reach::{self, ReachFinding, ReachView};
+use crate::reach::{self, ReachFinding};
 use crate::sdk::SdkLib;
-use crate::taint::{self, FragTaint, TaintClass, TaintOp, TaintView};
+use crate::taint::{self, Solver, TaintClass, TaintOp, TaintOutcome, LATTICE};
+use backwatch_android::app::{ComponentKind, Manifest};
 use backwatch_android::ir::{self, IrClass, IrInstr};
+use backwatch_android::permission::Permission;
 use backwatch_android::provider::ProviderKind;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// What the reachability pass needs to know about one method.
+/// What the reachability and taint passes need to know about one method.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MethodSummary {
-    /// Every `invoke` target, in program order (unresolvable targets —
-    /// framework classes, including the sinks — simply never match).
+    /// Every `invoke` target, in program order.
     pub callees: Vec<(String, String)>,
+    /// Every static field an `sput` or `sget` names, in program order.
+    pub(crate) fields: Vec<(String, String)>,
     /// Whether the method invokes a `LocationManager` sink.
     pub manager_sink: bool,
     /// Whether the method invokes a fused-client sink.
@@ -52,8 +53,8 @@ pub struct MethodSummary {
     /// provider evidence if `manager_sink` is set.
     pub const_providers: Vec<ProviderKind>,
     /// The method's taint operations, pre-classified against the
-    /// signature tables — what the cached taint engine replays instead
-    /// of re-walking instructions.
+    /// signature tables; calls and field accesses name their operand by
+    /// position in `callees` and `fields`.
     pub taint_ops: Vec<TaintOp>,
 }
 
@@ -68,39 +69,65 @@ pub struct ClassSummary {
     pub methods: Vec<(String, MethodSummary)>,
 }
 
+/// The one pass over a method's instructions, and the only place they
+/// are checked against the signature tables. A framework signature is
+/// classified here, at the call site, so a program class reusing a
+/// framework name never turns a source, sanitizer or sink call into a
+/// program call.
 fn summarize_method(instrs: &[IrInstr]) -> MethodSummary {
-    let mut callees = Vec::new();
-    let mut manager_sink = false;
-    let mut fused_sink = false;
-    let mut const_providers = Vec::new();
+    let mut s = MethodSummary {
+        callees: Vec::new(),
+        fields: Vec::new(),
+        manager_sink: false,
+        fused_sink: false,
+        const_providers: Vec::new(),
+        taint_ops: Vec::with_capacity(instrs.len()),
+    };
     for instr in instrs {
-        match instr {
-            IrInstr::Invoke { class, method } => {
-                if ir::is_sink(class, method) {
-                    manager_sink |= class == ir::LOCATION_MANAGER_CLASS;
-                    fused_sink |= class == ir::FUSED_CLIENT_CLASS;
-                }
-                callees.push((class.clone(), method.clone()));
-            }
-            IrInstr::ConstString(s) => {
-                if let Ok(p) = s.parse::<ProviderKind>() {
-                    if !const_providers.contains(&p) {
-                        const_providers.push(p);
+        let op = match instr {
+            IrInstr::ConstString(c) => {
+                if let Ok(p) = c.parse::<ProviderKind>() {
+                    if !s.const_providers.contains(&p) {
+                        s.const_providers.push(p);
                     }
                 }
+                TaintOp::Kill
             }
-            // pure dataflow instructions: no call edges, no sink or
-            // provider evidence — they matter only to the taint ops below
-            IrInstr::MoveResult | IrInstr::ReturnValue | IrInstr::Sput { .. } | IrInstr::Sget { .. } => {}
-        }
+            IrInstr::Invoke { class, method } => {
+                let sink = ir::is_sink(class, method);
+                if sink {
+                    s.manager_sink |= class == ir::LOCATION_MANAGER_CLASS;
+                    s.fused_sink |= class == ir::FUSED_CLIENT_CLASS;
+                }
+                let site = s.callees.len() as u32;
+                s.callees.push((class.clone(), method.clone()));
+                if ir::is_source(class, method) {
+                    TaintOp::Source
+                } else if let Some(d) = ir::sanitizer_degree(class, method) {
+                    TaintOp::Sanitize(d)
+                } else if ir::is_net_sink(class, method) {
+                    TaintOp::NetLeak
+                } else if sink {
+                    TaintOp::Registers
+                } else {
+                    TaintOp::Call(site)
+                }
+            }
+            IrInstr::MoveResult => TaintOp::MoveResult,
+            IrInstr::ReturnValue => TaintOp::ReturnValue,
+            IrInstr::Sput { class, field } | IrInstr::Sget { class, field } => {
+                let f = s.fields.len() as u32;
+                s.fields.push((class.clone(), field.clone()));
+                if matches!(instr, IrInstr::Sput { .. }) {
+                    TaintOp::Sput(f)
+                } else {
+                    TaintOp::Sget(f)
+                }
+            }
+        };
+        s.taint_ops.push(op);
     }
-    MethodSummary {
-        callees,
-        manager_sink,
-        fused_sink,
-        const_providers,
-        taint_ops: taint::ops_for_instrs(instrs),
-    }
+    s
 }
 
 /// Summarizes one class (used on cache misses).
@@ -117,11 +144,149 @@ pub fn summarize_class(class: &IrClass) -> ClassSummary {
     }
 }
 
+/// Where one call site or manifest entry point lands. A [`MethodIndex`]
+/// resolves each once, in the order both passes need: an own method
+/// first, then a fragment method, then a framework edge.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Target<'a> {
+    /// A method of the indexed program, by id.
+    Own(usize),
+    /// A method of the folded fragment: its precomputed facts.
+    Fragment(&'a FragRow),
+    /// Neither: a framework class (the sinks included), which ends the
+    /// walk and returns a clean value.
+    Framework,
+}
+
+/// One indexed method: its summary and where its resolved call sites and
+/// field slots start.
+struct Indexed<'a> {
+    summary: &'a MethodSummary,
+    site0: usize,
+    slot0: usize,
+}
+
+/// The one index over a composed program that the reachability BFS and
+/// the taint solver walk: method ids in declaration order, every call
+/// site resolved to a [`Target`], every static field numbered, the ids of
+/// the `onLocationChanged` methods, and the manifest's entry points.
+/// Building it is the last string hashing of an analysis.
+pub(crate) struct MethodIndex<'a> {
+    /// (class, method) → id: the one place methods are numbered.
+    ids: HashMap<(&'a str, &'a str), usize>,
+    methods: Vec<Indexed<'a>>,
+    /// Resolved call sites, flattened: method `id`'s `callees[i]` lands
+    /// at `sites[site0 + i]`.
+    sites: Vec<Target<'a>>,
+    /// Program-wide field numbers, flattened the same way over `fields`.
+    pub(crate) slots: Vec<usize>,
+    pub(crate) callbacks: Vec<usize>,
+    /// The manifest's entry points by the lifecycle that invokes them:
+    /// activities (plus the receivers that fire only while the user
+    /// interacts with the app), services, and `BOOT_COMPLETED` receivers
+    /// when the boot permission is held. Empty without a manifest.
+    pub(crate) roots: [Vec<Target<'a>>; 3],
+    /// Declared components whose class neither the program nor the
+    /// fragment defines.
+    pub(crate) missing: usize,
+}
+
+impl<'a> MethodIndex<'a> {
+    /// Indexes `classes` with `fragment` folded, and resolves the entry
+    /// points of `manifest` when one is given. A later method of the same
+    /// (class, name) shadows an earlier one.
+    pub(crate) fn new(
+        manifest: Option<&Manifest>,
+        classes: impl IntoIterator<Item = &'a ClassSummary>,
+        fragment: Option<&'a FragmentSummary>,
+    ) -> Self {
+        let mut ids: HashMap<(&str, &str), usize> = HashMap::new();
+        let mut defined: HashSet<&str> = HashSet::new();
+        let mut methods = Vec::new();
+        let mut callbacks = Vec::new();
+        let (mut site0, mut slot0) = (0, 0);
+        for class in classes {
+            defined.insert(&class.name);
+            for (name, summary) in &class.methods {
+                if name == ir::LISTENER_CALLBACK {
+                    callbacks.push(methods.len());
+                }
+                ids.insert((&class.name, name), methods.len());
+                methods.push(Indexed { summary, site0, slot0 });
+                site0 += summary.callees.len();
+                slot0 += summary.fields.len();
+            }
+        }
+        let resolve = |class: &str, method: &str| match ids.get(&(class, method)) {
+            Some(&id) => Target::Own(id),
+            None => fragment
+                .and_then(|f| f.row(class, method))
+                .map_or(Target::Framework, Target::Fragment),
+        };
+        let mut sites = Vec::with_capacity(site0);
+        let mut slots = Vec::with_capacity(slot0);
+        let mut field_ids: HashMap<(&str, &str), usize> = HashMap::new();
+        for m in &methods {
+            sites.extend(m.summary.callees.iter().map(|(c, name)| resolve(c, name)));
+            for (class, field) in &m.summary.fields {
+                let next = field_ids.len();
+                slots.push(*field_ids.entry((class, field)).or_insert(next));
+            }
+        }
+        let mut roots: [Vec<Target<'a>>; 3] = Default::default();
+        let mut missing = 0;
+        if let Some(manifest) = manifest {
+            let boot_permitted = manifest.permissions().contains(&Permission::ReceiveBootCompleted);
+            let [activity, service, boot] = &mut roots;
+            for component in manifest.components() {
+                let class = component.class_path(manifest.package());
+                if !defined.contains(class.as_str()) && !fragment.is_some_and(|f| f.defines_class(&class)) {
+                    missing += 1;
+                    continue;
+                }
+                let bucket = match component.kind {
+                    ComponentKind::Activity => &mut *activity,
+                    ComponentKind::Service => &mut *service,
+                    ComponentKind::Receiver if component.is_boot_receiver() && boot_permitted => &mut *boot,
+                    // non-boot receivers fire only while the app is
+                    // interacting with the user, so they gate nothing
+                    // beyond foreground
+                    ComponentKind::Receiver => &mut *activity,
+                };
+                bucket.extend(ir::entry_methods(component.kind).iter().map(|m| resolve(&class, m)));
+            }
+        }
+        Self {
+            ids,
+            methods,
+            sites,
+            slots,
+            callbacks,
+            roots,
+            missing,
+        }
+    }
+
+    /// Number of indexed methods; ids run `0..len()`.
+    pub(crate) fn len(&self) -> usize {
+        self.methods.len()
+    }
+
+    /// Method `id`: its summary, its resolved call sites (parallel to
+    /// `callees`) and its field numbers (parallel to `fields`).
+    pub(crate) fn method(&self, id: usize) -> Option<(&'a MethodSummary, &[Target<'a>], &[usize])> {
+        let m = self.methods.get(id)?;
+        let sites = self.sites.get(m.site0..m.site0 + m.summary.callees.len())?;
+        let slots = self.slots.get(m.slot0..m.slot0 + m.summary.fields.len())?;
+        Some((m.summary, sites, slots))
+    }
+}
+
 /// What one worklist exploration reaches. Stored per fragment method, it
 /// is what entering the fragment at that method can ever reach,
 /// precomputed so app analyses fold a constant instead of traversing
 /// fragment code.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FragReach {
     /// A sink is reachable from the explored entries.
     pub sink: bool,
@@ -129,9 +294,29 @@ pub struct FragReach {
     pub providers: BTreeSet<ProviderKind>,
 }
 
-/// One shared library fragment, summarized transitively. Sound because
-/// the call direction is one-way: apps call into the fragment, fragment
-/// code never calls back into app code.
+/// One fragment method's row of the fragment table: its transitive
+/// reachability facts and its taint outcome at every [`LATTICE`] input.
+#[derive(Debug)]
+pub(crate) struct FragRow {
+    pub(crate) reach: FragReach,
+    pub(crate) taint: [TaintOutcome; LATTICE.len()],
+}
+
+impl FragRow {
+    /// The taint outcome of entering the method with `input` taint.
+    pub(crate) fn transfer(&self, input: u8) -> TaintOutcome {
+        let i = LATTICE.iter().position(|&v| v == input);
+        i.and_then(|i| self.taint.get(i)).copied().unwrap_or_default()
+    }
+}
+
+/// One shared library fragment, summarized transitively into one table
+/// with a row per fragment method. Sound because the call direction is
+/// one-way: apps call into the fragment, fragment code never calls back
+/// into app code. The taint rows also need the two properties its build
+/// asserts: the fragment touches no static fields (no hidden coupling
+/// with app state) and defines no `onLocationChanged` callback (callback
+/// seeding stays app-local).
 #[derive(Debug)]
 pub struct FragmentSummary {
     /// The fragment's [`SdkLib::digest`].
@@ -139,46 +324,70 @@ pub struct FragmentSummary {
     /// Classes in the fragment (the cache counts one hit per class when
     /// a composed program reuses the fragment wholesale).
     pub class_count: usize,
-    /// Precomputed taint transfer table: the taint analogue of the
-    /// reachability facts, solved once per fragment digest at every
-    /// lattice input (sound for the same one-way-call reason, plus the
-    /// statics-free/no-callback assertions [`FragTaint::build`] makes).
-    pub taint: FragTaint,
-    reach: HashMap<String, HashMap<String, FragReach>>,
+    /// Class → method → row: the fragment's one (class, method) → id map.
+    ids: HashMap<String, HashMap<String, usize>>,
+    rows: Vec<FragRow>,
 }
 
 impl FragmentSummary {
-    fn build(sdk: &SdkLib) -> Self {
+    /// Summarizes the fragment once, then fills every row from that one
+    /// index: one exploration per method (the fragment is small, so this
+    /// is simpler than SCC condensation and runs once per fragment
+    /// digest) and one solve seeded at every method and lattice input.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the fragment uses static fields or defines the listener
+    /// callback — either would make the context-insensitive fold
+    /// unsound, and no real fragment in the corpus does.
+    pub(crate) fn build(sdk: &SdkLib) -> Self {
         let program = sdk.program();
         let summaries: Vec<ClassSummary> = program.classes.iter().map(summarize_class).collect();
-        // the fragment is small: one exploration per method is simpler
-        // than SCC condensation and runs once per fragment digest
-        let view = ReachView::new(&summaries, None);
-        let mut reach: HashMap<String, HashMap<String, FragReach>> = HashMap::new();
-        for class in &summaries {
-            for (method, _) in &class.methods {
-                let facts = view.explore(&[(class.name.clone(), method.clone())]);
-                reach.entry(class.name.clone()).or_default().insert(method.clone(), facts);
+        let index = MethodIndex::new(None, &summaries, None);
+        assert!(
+            index.callbacks.is_empty(),
+            "the fragment defines {} — callback seeding would not be app-local",
+            ir::LISTENER_CALLBACK,
+        );
+        assert!(
+            index.slots.is_empty(),
+            "the fragment touches static fields — the transfer fold would be unsound"
+        );
+        let mut solver = Solver::new(&index);
+        for id in 0..index.len() {
+            for &input in &LATTICE {
+                solver.seed(id, input);
             }
         }
+        solver.solve();
+        // the table keeps the index's numbering
+        let mut ids: HashMap<String, HashMap<String, usize>> = HashMap::new();
+        for (&(class, method), &id) in &index.ids {
+            ids.entry(class.to_owned()).or_default().insert(method.to_owned(), id);
+        }
+        let rows = (0..index.len())
+            .map(|id| FragRow {
+                reach: reach::explore(&index, [Target::Own(id)]),
+                taint: LATTICE.map(|input| solver.outcome(id, input)),
+            })
+            .collect();
         Self {
             digest: sdk.digest(),
             class_count: program.classes.len(),
-            taint: FragTaint::build(program),
-            reach,
+            ids,
+            rows,
         }
     }
 
     /// Whether the fragment defines `class`.
-    #[must_use]
-    pub fn defines_class(&self, class: &str) -> bool {
-        self.reach.contains_key(class)
+    pub(crate) fn defines_class(&self, class: &str) -> bool {
+        self.ids.contains_key(class)
     }
 
-    /// Transitive facts for entering the fragment at `(class, method)`.
-    #[must_use]
-    pub fn reach(&self, class: &str, method: &str) -> Option<&FragReach> {
-        self.reach.get(class)?.get(method)
+    /// The row for entering the fragment at `(class, method)`; `None`
+    /// when the fragment does not define the method.
+    pub(crate) fn row(&self, class: &str, method: &str) -> Option<&FragRow> {
+        self.rows.get(*self.ids.get(class)?.get(method)?)
     }
 }
 
@@ -383,12 +592,7 @@ pub fn analyze_entry_cached(entry: &MarketApp, cache: &SummaryCache) -> CachedAn
         };
     };
     let summaries: Vec<Arc<ClassSummary>> = own.classes.iter().map(|c| cache.class_summary(c, &mut tally)).collect();
-    let reach_view = ReachView::new(summaries.iter().map(Arc::as_ref), fragment.as_deref());
-    let finding = reach::finding(manifest, reach::classify(manifest, &reach_view));
-    // the taint pass replays the cached per-method op streams, folding
-    // the fragment's precomputed transfer table
-    let taint_view = TaintView::from_summaries(summaries.iter().map(Arc::as_ref), fragment.as_deref().map(|f| &f.taint));
-    let taint = taint::classify_with_view(manifest, &taint_view, finding.class);
+    let (finding, taint) = classify_folded(manifest, &summaries, fragment.as_deref());
     CachedAnalysis {
         finding,
         taint,
@@ -398,11 +602,25 @@ pub fn analyze_entry_cached(entry: &MarketApp, cache: &SummaryCache) -> CachedAn
     }
 }
 
+/// Classifies one app over its own class summaries with the linked
+/// fragment folded: one index, reachability over it, then the taint
+/// class refining it.
+fn classify_folded(
+    manifest: &Manifest,
+    own: &[Arc<ClassSummary>],
+    fragment: Option<&FragmentSummary>,
+) -> (ReachFinding, TaintClass) {
+    let index = MethodIndex::new(Some(manifest), own.iter().map(Arc::as_ref), fragment);
+    let finding = reach::finding(manifest, reach::classify(manifest, &index));
+    let taint = taint::classify(&index, finding.class);
+    (finding, taint)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::corpus::{generate, CorpusConfig};
-    use crate::reach::analyze_entry;
+    use crate::reach::{analyze_entry, ReachClass};
 
     #[test]
     fn cached_analysis_matches_oracle_per_app() {
@@ -440,21 +658,86 @@ mod tests {
         assert_eq!(frag.class_count, sdk.class_count());
         // the boot entry reaches deep fragment code but no sink
         let (class, method) = sdk.entry();
-        let boot = frag.reach(class, method).expect("entry summarized");
+        let boot = &frag.row(class, method).expect("entry summarized").reach;
         assert!(!boot.sink);
         assert!(boot.providers.is_empty());
         // the cyclic queue pair terminates and stays sink-free
-        let push = frag.reach("com/adnet/metrics/Queue", "push").expect("cycle summarized");
+        let push = &frag.row("com/adnet/metrics/Queue", "push").expect("cycle summarized").reach;
         assert!(!push.sink);
         // the dead radar *is* a sink — just unreachable from boot
-        let radar = frag.reach("com/adnet/radar/DeadRadar", "scan").expect("decoy summarized");
+        let radar = &frag.row("com/adnet/radar/DeadRadar", "scan").expect("decoy summarized").reach;
         assert!(radar.sink);
         assert_eq!(radar.providers, BTreeSet::from([ProviderKind::Gps]));
         // and the sink-bearing variant propagates it to the entry
         let dirty = FragmentSummary::build(&crate::sdk::shared_with_sink());
-        let boot = dirty.reach(class, method).expect("entry summarized");
+        let boot = &dirty.row(class, method).expect("entry summarized").reach;
         assert!(boot.sink);
         assert_eq!(boot.providers, BTreeSet::from([ProviderKind::Gps]));
+    }
+
+    #[test]
+    fn fragment_fold_matches_inline_composition_for_every_method_and_input() {
+        use backwatch_android::app::{Component, ComponentKind, ManifestBuilder, ACTION_MAIN};
+        use backwatch_android::ir::{IrMethod, IrProgram};
+        use backwatch_android::permission::Permission;
+        let mut b = ManifestBuilder::new("com.t.app");
+        b.add_permission(Permission::AccessFineLocation);
+        b.add_component(Component::new(ComponentKind::Activity, ".MainActivity").with_action(ACTION_MAIN));
+        let manifest = b.build();
+        let invoke = |class: &str, method: &str| IrInstr::Invoke {
+            class: class.to_owned(),
+            method: method.to_owned(),
+        };
+        let mut seen = std::collections::BTreeSet::new();
+        for sdk in [crate::sdk::shared(), crate::sdk::shared_with_sink()] {
+            let frag = FragmentSummary::build(&sdk);
+            for class in &sdk.program().classes {
+                for method in &class.methods {
+                    for &input in &taint::LATTICE {
+                        // the host latches `input` into its accumulator, hands
+                        // it to the fragment method, latches the result and
+                        // uploads it
+                        let mut body = Vec::new();
+                        if input != taint::T_NONE {
+                            body.push(invoke(ir::LOCATION_MANAGER_CLASS, "getLastKnownLocation"));
+                            body.push(IrInstr::MoveResult);
+                        }
+                        if input != taint::T_NONE && input != taint::T_RAW {
+                            body.push(invoke(ir::SANITIZER_CLASS, &format!("truncate{}", input - 1)));
+                            body.push(IrInstr::MoveResult);
+                        }
+                        body.push(invoke(&class.name, &method.name));
+                        body.push(IrInstr::MoveResult);
+                        body.push(invoke(ir::HTTP_URL_CONNECTION_CLASS, "getOutputStream"));
+                        let host = IrProgram {
+                            classes: vec![IrClass::new("com/t/app/MainActivity", vec![IrMethod::new("onCreate", body)])],
+                        };
+                        let own: Vec<Arc<ClassSummary>> = host.classes.iter().map(|c| Arc::new(summarize_class(c))).collect();
+                        let folded = classify_folded(&manifest, &own, Some(&frag));
+                        let mut inline = host;
+                        inline.classes.extend(sdk.program().classes.iter().cloned());
+                        let analysis = reach::analyze_program(&manifest, &inline);
+                        let reach_class = analysis.class;
+                        let composed = (
+                            reach::finding(&manifest, analysis),
+                            taint::analyze_program(&manifest, &inline, reach_class),
+                        );
+                        assert_eq!(folded, composed, "{}.{} at input {input}", class.name, method.name);
+                        seen.insert((composed.0.class, composed.1));
+                    }
+                }
+            }
+        }
+        // the sweep covers sink-reaching fragment methods, the geo
+        // forwarder's raw and sanitized leaks, and clean returns
+        for want in [
+            (ReachClass::NonAccessor, TaintClass::NoAccess),
+            (ReachClass::ForegroundOnly, TaintClass::AccessOnly),
+            (ReachClass::ForegroundOnly, TaintClass::ExfiltratesSanitized(2)),
+            (ReachClass::ForegroundOnly, TaintClass::ExfiltratesRaw),
+        ] {
+            assert!(seen.contains(&want), "no host classified {want:?}");
+        }
     }
 
     #[test]

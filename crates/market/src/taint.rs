@@ -32,12 +32,16 @@
 //! taints nothing), and any exfiltration verdict implies a reachable
 //! source. Soundness caveats (reflection, ICC, native code) are shared
 //! with the reachability pass and discussed in DESIGN.md §15.
+//!
+//! [`ir::SOURCES`]: backwatch_android::ir::SOURCES
+//! [`ir::SANITIZERS`]: backwatch_android::ir::SANITIZERS
+//! [`ir::NET_SINKS`]: backwatch_android::ir::NET_SINKS
 
 use crate::corpus::MarketApp;
 use crate::reach::{ReachClass, ReachFinding};
-use crate::summary::ClassSummary;
+use crate::summary::{summarize_class, ClassSummary, MethodIndex, Target};
 use backwatch_android::app::Manifest;
-use backwatch_android::ir::{self, IrInstr, IrProgram};
+use backwatch_android::ir::IrProgram;
 use std::collections::{BTreeSet, HashMap};
 
 /// Untainted.
@@ -47,8 +51,9 @@ pub const T_RAW: u8 = 255;
 
 /// Every value the taint chain can take: untainted, sanitized to
 /// `d = 0..=4` decimals (encoded `1 + d`), raw. All transfer functions
-/// map lattice values to lattice values, so the fragment transfer table
-/// below is total over exactly these inputs.
+/// map lattice values to lattice values, so a fragment table row (one
+/// outcome per input, see [`crate::summary::FragmentSummary`]) is total
+/// over exactly these inputs.
 pub const LATTICE: [u8; 7] = [T_NONE, 1, 2, 3, 4, 5, T_RAW];
 
 /// Encodes a sanitizer degree as a lattice value.
@@ -145,12 +150,16 @@ pub(crate) fn record(class: TaintClass) -> TaintClass {
     class
 }
 
-/// One taint-relevant operation, pre-classified from an [`IrInstr`] so
-/// the oracle (walking instruction streams) and the cached sweep
-/// (replaying per-method summaries) run the *same* engine on the same
-/// input. Framework signatures shadow same-named program classes here,
-/// exactly as [`ir::is_sink`] does for reachability.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One taint-relevant operation, pre-classified from an [`IrInstr`] when
+/// the method is summarized, so the oracle and the cached sweep run the
+/// *same* engine on the same input. Framework signatures are classified
+/// at the call site: a program class reusing a framework name never
+/// shadows a source, sanitizer or sink, exactly as [`ir::is_sink`] does
+/// for reachability.
+///
+/// [`IrInstr`]: backwatch_android::ir::IrInstr
+/// [`ir::is_sink`]: backwatch_android::ir::is_sink
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaintOp {
     /// `const-string`: the accumulator now holds a constant — taint
     /// killed by overwrite.
@@ -165,72 +174,20 @@ pub enum TaintOp {
     /// A listener-registration sink (`requestLocationUpdates`): arms the
     /// `onLocationChanged` callback entries.
     Registers,
-    /// A call whose target may be program-defined (own or fragment);
-    /// unresolvable targets are framework edges whose result is clean.
-    Call {
-        /// Target class path.
-        class: String,
-        /// Target method name.
-        method: String,
-    },
+    /// A call to the method summary's `callees[i]`, which may be
+    /// program-defined (own or fragment); framework targets return a
+    /// clean value.
+    Call(u32),
     /// `move-result`: latch the pending result into the accumulator.
     MoveResult,
     /// `return-value`: the accumulator flows to the caller.
     ReturnValue,
-    /// `sput`: the accumulator joins into a static field.
-    Sput {
-        /// Field-owning class path.
-        class: String,
-        /// Field name.
-        field: String,
-    },
-    /// `sget`: the accumulator becomes the static field's taint.
-    Sget {
-        /// Field-owning class path.
-        class: String,
-        /// Field name.
-        field: String,
-    },
-}
-
-/// Lowers one instruction stream to its taint operations. This is the
-/// *only* place instructions are classified against the signature
-/// tables; summarizing calls it once per class and [`analyze_program`]
-/// once per method, so the paths can never diverge.
-#[must_use]
-pub fn ops_for_instrs(instrs: &[IrInstr]) -> Vec<TaintOp> {
-    instrs
-        .iter()
-        .map(|instr| match instr {
-            IrInstr::ConstString(_) => TaintOp::Kill,
-            IrInstr::Invoke { class, method } => {
-                if ir::is_source(class, method) {
-                    TaintOp::Source
-                } else if let Some(d) = ir::sanitizer_degree(class, method) {
-                    TaintOp::Sanitize(d)
-                } else if ir::is_net_sink(class, method) {
-                    TaintOp::NetLeak
-                } else if ir::is_sink(class, method) {
-                    TaintOp::Registers
-                } else {
-                    TaintOp::Call {
-                        class: class.clone(),
-                        method: method.clone(),
-                    }
-                }
-            }
-            IrInstr::MoveResult => TaintOp::MoveResult,
-            IrInstr::ReturnValue => TaintOp::ReturnValue,
-            IrInstr::Sput { class, field } => TaintOp::Sput {
-                class: class.clone(),
-                field: field.clone(),
-            },
-            IrInstr::Sget { class, field } => TaintOp::Sget {
-                class: class.clone(),
-                field: field.clone(),
-            },
-        })
-        .collect()
+    /// `sput` to the method summary's `fields[i]`: the accumulator joins
+    /// into the static field.
+    Sput(u32),
+    /// `sget` of `fields[i]`: the accumulator becomes the static field's
+    /// taint.
+    Sget(u32),
 }
 
 /// What analyzing one `(method, input-taint)` context yields: the taint
@@ -256,164 +213,23 @@ impl TaintOutcome {
     }
 }
 
-/// Precomputed taint transfer table for one shared-library fragment:
-/// for every fragment method and every lattice input, the full
-/// [`TaintOutcome`]. A million apps embedding the fragment fold these
-/// constants instead of traversing fragment code — the taint analogue
-/// of `FragReach`.
-///
-/// Soundness rests on three fragment properties, the first two asserted
-/// at build time: it touches no static fields (no `sput`/`sget`, so no
-/// hidden coupling with app state), it defines no
-/// `onLocationChanged` callback (so callback seeding is app-local), and
-/// its calls are one-way — fragment code never calls back into app code.
-#[derive(Debug)]
-pub struct FragTaint {
-    transfer: HashMap<String, HashMap<String, [TaintOutcome; LATTICE.len()]>>,
-}
-
-impl FragTaint {
-    /// Builds the transfer table by solving the fragment in isolation at
-    /// every lattice input.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fragment uses static fields or defines the listener
-    /// callback — either would make the context-insensitive fold
-    /// unsound, and no real fragment in the corpus does.
-    #[must_use]
-    pub fn build(program: &IrProgram) -> Self {
-        for class in &program.classes {
-            for method in &class.methods {
-                assert!(
-                    method.name != ir::LISTENER_CALLBACK,
-                    "fragment {} defines {} — callback seeding would not be app-local",
-                    class.name,
-                    ir::LISTENER_CALLBACK,
-                );
-                assert!(
-                    !method
-                        .instrs
-                        .iter()
-                        .any(|i| matches!(i, IrInstr::Sput { .. } | IrInstr::Sget { .. })),
-                    "fragment {} touches static fields — the transfer fold would be unsound",
-                    class.name,
-                );
-            }
-        }
-        let lowered = lower_ops(program);
-        let view = TaintView::new(lowered.iter().map(|(c, m, o)| (c.as_str(), m.as_str(), o.as_slice())), None);
-        let mut solver = Solver::new(&view);
-        for id in 0..view.method_count() {
-            for &input in &LATTICE {
-                solver.seed(id, input);
-            }
-        }
-        solver.solve();
-        let mut transfer: HashMap<String, HashMap<String, [TaintOutcome; LATTICE.len()]>> = HashMap::new();
-        for (id, (class, method, _)) in lowered.iter().enumerate() {
-            let mut row = [TaintOutcome::default(); LATTICE.len()];
-            for (slot, &input) in row.iter_mut().zip(LATTICE.iter()) {
-                *slot = solver.outcome(id, input);
-            }
-            transfer.entry(class.clone()).or_default().insert(method.clone(), row);
-        }
-        Self { transfer }
-    }
-
-    /// The outcome of entering the fragment at `(class, method)` with
-    /// `input` taint; `None` when the fragment does not define the
-    /// method (a framework edge).
-    #[must_use]
-    pub fn transfer(&self, class: &str, method: &str, input: u8) -> Option<TaintOutcome> {
-        let row = self.transfer.get(class)?.get(method)?;
-        let idx = LATTICE.iter().position(|&v| v == input)?;
-        row.get(idx).copied()
-    }
-}
-
-/// Lowers a whole program to per-method op streams, in declaration
-/// order.
-#[must_use]
-pub(crate) fn lower_ops(program: &IrProgram) -> Vec<(String, String, Vec<TaintOp>)> {
-    let mut lowered = Vec::new();
-    for class in &program.classes {
-        for method in &class.methods {
-            lowered.push((class.name.clone(), method.name.clone(), ops_for_instrs(&method.instrs)));
-        }
-    }
-    lowered
-}
-
-/// The solvable surface: method op streams by id, plus the optional
-/// fragment folded as precomputed transfer constants. Built either from
-/// a lowered program ([`analyze_program`], [`FragTaint::build`]) or from
-/// `MethodSummary` op streams, uncached (the entry oracle) or cached
-/// (the sweep) — the engine cannot tell the difference, which is the
-/// parity argument.
-pub(crate) struct TaintView<'a> {
-    ids: HashMap<(&'a str, &'a str), usize>,
-    ops: Vec<&'a [TaintOp]>,
-    callbacks: Vec<usize>,
-    fragment: Option<&'a FragTaint>,
-}
-
-impl<'a> TaintView<'a> {
-    pub(crate) fn new(
-        methods: impl IntoIterator<Item = (&'a str, &'a str, &'a [TaintOp])>,
-        fragment: Option<&'a FragTaint>,
-    ) -> Self {
-        let mut ids = HashMap::new();
-        let mut ops = Vec::new();
-        let mut callbacks = Vec::new();
-        for (class, method, stream) in methods {
-            if method == ir::LISTENER_CALLBACK {
-                callbacks.push(ops.len());
-            }
-            ids.insert((class, method), ops.len());
-            ops.push(stream);
-        }
-        Self {
-            ids,
-            ops,
-            callbacks,
-            fragment,
-        }
-    }
-
-    /// A view over summarized classes: each method's cached op stream,
-    /// in declaration order.
-    pub(crate) fn from_summaries(classes: impl IntoIterator<Item = &'a ClassSummary>, fragment: Option<&'a FragTaint>) -> Self {
-        let methods = classes.into_iter().flat_map(|cs| {
-            cs.methods
-                .iter()
-                .map(move |(m, ms)| (cs.name.as_str(), m.as_str(), ms.taint_ops.as_slice()))
-        });
-        Self::new(methods, fragment)
-    }
-
-    fn method_count(&self) -> usize {
-        self.ops.len()
-    }
-}
-
 /// Chaotic-iteration fixpoint engine over `(method, input)` contexts
-/// plus a global static-field taint map. All updates are joins on a
-/// finite chain, so the iteration terminates at the unique least
+/// plus a program-wide static-field taint table. All updates are joins on
+/// a finite chain, so the iteration terminates at the unique least
 /// fixpoint whatever the evaluation order.
 pub(crate) struct Solver<'a> {
-    view: &'a TaintView<'a>,
+    index: &'a MethodIndex<'a>,
     memo: HashMap<(usize, u8), TaintOutcome>,
-    fields: HashMap<(&'a str, &'a str), u8>,
+    fields: Vec<u8>,
     contexts: BTreeSet<(usize, u8)>,
 }
 
 impl<'a> Solver<'a> {
-    pub(crate) fn new(view: &'a TaintView<'a>) -> Self {
+    pub(crate) fn new(index: &'a MethodIndex<'a>) -> Self {
         Self {
-            view,
+            index,
             memo: HashMap::new(),
-            fields: HashMap::new(),
+            fields: vec![T_NONE; index.slots.len()],
             contexts: BTreeSet::new(),
         }
     }
@@ -433,7 +249,7 @@ impl<'a> Solver<'a> {
             for (id, input) in snapshot {
                 let mut discovered = Vec::new();
                 let out = eval(
-                    self.view,
+                    self.index,
                     id,
                     input,
                     &self.memo,
@@ -463,26 +279,26 @@ impl<'a> Solver<'a> {
 /// the pending invoke result. Reads the current memo/field state; any
 /// raise it causes (field joins, new call contexts) is reported back so
 /// the driving loop knows the state moved.
-fn eval<'a>(
-    view: &TaintView<'a>,
+fn eval(
+    index: &MethodIndex<'_>,
     id: usize,
     input: u8,
     memo: &HashMap<(usize, u8), TaintOutcome>,
-    fields: &mut HashMap<(&'a str, &'a str), u8>,
+    fields: &mut [u8],
     discovered: &mut Vec<(usize, u8)>,
     changed: &mut bool,
 ) -> TaintOutcome {
-    let Some(ops) = view.ops.get(id) else {
+    let Some((ms, sites, slots)) = index.method(id) else {
         return TaintOutcome::default();
     };
     let mut acc = input;
     let mut preg = T_NONE;
     let mut out = TaintOutcome::default();
-    for op in *ops {
-        match op {
+    for op in &ms.taint_ops {
+        match *op {
             TaintOp::Kill => acc = T_NONE,
             TaintOp::Source => preg = T_RAW,
-            TaintOp::Sanitize(d) => preg = acc.min(sanitized(*d)),
+            TaintOp::Sanitize(d) => preg = acc.min(sanitized(d)),
             TaintOp::NetLeak => {
                 out.leak = out.leak.max(acc);
                 preg = T_NONE;
@@ -491,67 +307,67 @@ fn eval<'a>(
                 out.registers = true;
                 preg = T_NONE;
             }
-            TaintOp::Call { class, method } => {
-                if let Some(&callee) = view.ids.get(&(class.as_str(), method.as_str())) {
-                    discovered.push((callee, acc));
-                    let o = memo.get(&(callee, acc)).copied().unwrap_or_default();
-                    preg = o.ret;
-                    out.leak = out.leak.max(o.leak);
-                    out.registers |= o.registers;
-                } else if let Some(t) = view.fragment.and_then(|f| f.transfer(class, method, acc)) {
-                    preg = t.ret;
-                    out.leak = out.leak.max(t.leak);
-                    out.registers |= t.registers;
-                } else {
-                    preg = T_NONE;
-                }
+            TaintOp::Call(site) => {
+                let o = match sites.get(site as usize) {
+                    Some(&Target::Own(callee)) => {
+                        discovered.push((callee, acc));
+                        memo.get(&(callee, acc)).copied().unwrap_or_default()
+                    }
+                    Some(Target::Fragment(row)) => row.transfer(acc),
+                    Some(Target::Framework) | None => TaintOutcome::default(),
+                };
+                preg = o.ret;
+                out.leak = out.leak.max(o.leak);
+                out.registers |= o.registers;
             }
             TaintOp::MoveResult => {
                 acc = preg;
                 preg = T_NONE;
             }
             TaintOp::ReturnValue => out.ret = out.ret.max(acc),
-            TaintOp::Sput { class, field } => {
-                let slot = fields.entry((class.as_str(), field.as_str())).or_insert(T_NONE);
-                let joined = (*slot).max(acc);
-                if joined != *slot {
-                    *slot = joined;
-                    *changed = true;
+            TaintOp::Sput(field) => {
+                if let Some(slot) = slots.get(field as usize).and_then(|&f| fields.get_mut(f)) {
+                    let joined = (*slot).max(acc);
+                    if joined != *slot {
+                        *slot = joined;
+                        *changed = true;
+                    }
                 }
             }
-            TaintOp::Sget { class, field } => {
-                acc = fields.get(&(class.as_str(), field.as_str())).copied().unwrap_or(T_NONE);
+            TaintOp::Sget(field) => {
+                acc = slots
+                    .get(field as usize)
+                    .and_then(|&f| fields.get(f))
+                    .copied()
+                    .unwrap_or(T_NONE);
             }
         }
     }
     out
 }
 
-/// Classifies one app over a solvable view, gated on its reachability
-/// class: a reachability non-accessor taints nothing (the permission
-/// gate models the API returning nothing), which makes
-/// taint ⊆ reachability structural rather than empirical. Advances the
-/// `market.taint.*` counters exactly once.
-pub(crate) fn classify_with_view(manifest: &Manifest, view: &TaintView<'_>, reach: ReachClass) -> TaintClass {
+/// Classifies one app over its index, gated on its reachability class: a
+/// reachability non-accessor taints nothing (the permission gate models
+/// the API returning nothing), which makes taint ⊆ reachability
+/// structural rather than empirical. Advances the `market.taint.*`
+/// counters exactly once.
+pub(crate) fn classify(index: &MethodIndex<'_>, reach: ReachClass) -> TaintClass {
     if reach == ReachClass::NonAccessor {
         return record(TaintClass::NoAccess);
     }
     // Roots: every declared component's lifecycle entries, at untainted
-    // input. Components resolving into the fragment (a pathological but
-    // legal manifest) fold its transfer constant like any other call.
+    // input. Entries resolving into the fragment (a pathological but
+    // legal manifest) fold its transfer row like any other call.
     let mut own_roots: Vec<(usize, u8)> = Vec::new();
     let mut total = TaintOutcome::default();
-    for component in manifest.components() {
-        let class = component.class_path(manifest.package());
-        for m in ir::entry_methods(component.kind) {
-            if let Some(&id) = view.ids.get(&(class.as_str(), *m)) {
-                own_roots.push((id, T_NONE));
-            } else if let Some(t) = view.fragment.and_then(|f| f.transfer(&class, m, T_NONE)) {
-                total = total.join(t);
-            }
+    for &target in index.roots.iter().flatten() {
+        match target {
+            Target::Own(id) => own_roots.push((id, T_NONE)),
+            Target::Fragment(row) => total = total.join(row.transfer(T_NONE)),
+            Target::Framework => {}
         }
     }
-    let mut solver = Solver::new(view);
+    let mut solver = Solver::new(index);
     for &(id, input) in &own_roots {
         solver.seed(id, input);
     }
@@ -561,13 +377,13 @@ pub(crate) fn classify_with_view(manifest: &Manifest, view: &TaintView<'_>, reac
     }
     // A registered listener arms every own `onLocationChanged` with raw
     // taint (the framework delivers full-precision fixes); the fragment
-    // defines none, by the FragTaint build-time assertion.
-    if total.registers && !view.callbacks.is_empty() {
-        for &cb in &view.callbacks {
+    // defines none, by the fragment table's build-time assertion.
+    if total.registers && !index.callbacks.is_empty() {
+        for &cb in &index.callbacks {
             solver.seed(cb, T_RAW);
         }
         solver.solve();
-        for &cb in &view.callbacks {
+        for &cb in &index.callbacks {
             total = total.join(solver.outcome(cb, T_RAW));
         }
     }
@@ -576,13 +392,13 @@ pub(crate) fn classify_with_view(manifest: &Manifest, view: &TaintView<'_>, reac
 
 /// Oracle taint classification of one parsed program (possibly the
 /// composed own+fragment program) against its manifest, given the
-/// already-computed reachability class.
+/// already-computed reachability class: summarize without a cache, index
+/// with no fragment fold, classify.
 #[must_use]
 pub fn analyze_program(manifest: &Manifest, program: &IrProgram, reach: ReachClass) -> TaintClass {
     crate::obs::register();
-    let lowered = lower_ops(program);
-    let view = TaintView::new(lowered.iter().map(|(c, m, o)| (c.as_str(), m.as_str(), o.as_slice())), None);
-    classify_with_view(manifest, &view, reach)
+    let summaries: Vec<ClassSummary> = program.classes.iter().map(summarize_class).collect();
+    classify(&MethodIndex::new(Some(manifest), &summaries, None), reach)
 }
 
 /// Output of one oracle taint analysis: the reachability finding the
@@ -602,28 +418,26 @@ pub struct TaintAnalysis {
 
 /// Full oracle for one corpus entry: compose own+fragment code exactly
 /// like [`crate::reach::analyze_entry`], classify reachability, then
-/// classify taint over the same uncached summaries. The cached
-/// counterpart is `summary::analyze_entry_cached`, pinned bit-identical
-/// (finding, taint, and telemetry) by the differential suites.
+/// classify taint over the same uncached index. The cached counterpart
+/// is `summary::analyze_entry_cached`, pinned bit-identical (finding,
+/// taint, and telemetry) by the differential suites.
 #[must_use]
 pub fn analyze_entry(entry: &MarketApp) -> TaintAnalysis {
-    let (finding, summaries) = crate::reach::analyze_entry_inner(entry);
-    let taint = match &summaries {
-        Some(classes) => classify_with_view(entry.app.manifest(), &TaintView::from_summaries(classes, None), finding.class),
-        None => record(TaintClass::NoAccess),
-    };
+    let (finding, taint) = crate::reach::analyze_entry_with(entry, |index, finding| classify(index, finding.class));
     TaintAnalysis {
         finding,
-        taint,
-        parse_failed: summaries.is_none(),
+        parse_failed: taint.is_none(),
+        taint: taint.unwrap_or_else(|| record(TaintClass::NoAccess)),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sdk::SdkLib;
+    use crate::summary::FragmentSummary;
     use backwatch_android::app::{Component, ComponentKind, ManifestBuilder, ACTION_MAIN};
-    use backwatch_android::ir::{IrClass, IrMethod};
+    use backwatch_android::ir::{self, IrClass, IrInstr, IrMethod};
     use backwatch_android::permission::Permission;
 
     fn manifest() -> Manifest {
@@ -863,44 +677,44 @@ mod tests {
                 )],
             )],
         };
-        let fragment = FragTaint::build(&frag);
-        let own = [(
-            "com/t/app/MainActivity".to_owned(),
-            "onCreate".to_owned(),
-            ops_for_instrs(&[source(), IrInstr::MoveResult, invoke(frag_class, "ship")]),
-        )];
-        let view = TaintView::new(
-            own.iter().map(|(c, m, o)| (c.as_str(), m.as_str(), o.as_slice())),
-            Some(&fragment),
-        );
-        let folded = classify_with_view(&manifest(), &view, ReachClass::ForegroundOnly);
+        let fragment = FragmentSummary::build(&SdkLib::from_program(frag.clone()));
+        let own = main_program(vec![source(), IrInstr::MoveResult, invoke(frag_class, "ship")]);
+        let summaries: Vec<ClassSummary> = own.classes.iter().map(summarize_class).collect();
+        let index = MethodIndex::new(Some(&manifest()), &summaries, Some(&fragment));
+        let folded = super::classify(&index, ReachClass::ForegroundOnly);
         // versus the same code inlined into one program
-        let mut inline = main_program(vec![source(), IrInstr::MoveResult, invoke(frag_class, "ship")]);
+        let mut inline = own;
         inline.classes.extend(frag.classes.clone());
         assert_eq!(folded, classify(&inline));
         assert_eq!(folded, TaintClass::ExfiltratesSanitized(1));
         // the transfer row itself: raw in, degree-1 leak out, clean return
-        let t = fragment.transfer(frag_class, "ship", T_RAW).expect("row exists");
+        let t = fragment.row(frag_class, "ship").expect("row exists").transfer(T_RAW);
         assert_eq!(t.leak, 2);
         assert_eq!(t.ret, T_NONE);
         assert!(!t.registers);
-        assert!(fragment.transfer(frag_class, "missing", T_RAW).is_none());
+        assert!(fragment.row(frag_class, "missing").is_none());
     }
 
     #[test]
     fn fragment_with_statics_is_rejected() {
-        let frag = IrProgram {
+        let stash = IrMethod::new(
+            "stash",
+            vec![IrInstr::Sput {
+                class: "com/lib/Bad".to_owned(),
+                field: "f".to_owned(),
+            }],
+        );
+        let statics = SdkLib::from_program(IrProgram {
+            classes: vec![IrClass::new("com/lib/Bad", vec![stash])],
+        });
+        assert!(std::panic::catch_unwind(|| FragmentSummary::build(&statics)).is_err());
+        // the listener callback is the other unsound fragment shape
+        let callback = SdkLib::from_program(IrProgram {
             classes: vec![IrClass::new(
                 "com/lib/Bad",
-                vec![IrMethod::new(
-                    "stash",
-                    vec![IrInstr::Sput {
-                        class: "com/lib/Bad".to_owned(),
-                        field: "f".to_owned(),
-                    }],
-                )],
+                vec![IrMethod::new(ir::LISTENER_CALLBACK, vec![])],
             )],
-        };
-        assert!(std::panic::catch_unwind(|| FragTaint::build(&frag)).is_err());
+        });
+        assert!(std::panic::catch_unwind(|| FragmentSummary::build(&callback)).is_err());
     }
 }

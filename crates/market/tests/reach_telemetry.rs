@@ -37,10 +37,6 @@ fn cached_and_incremental_sweeps_advance_the_same_counters_as_the_oracle() {
     let cfg = CorpusConfig::scaled(10).with_sdk_share(70).with_churn_ppm(50_000);
     let corpus = generate(&cfg);
     backwatch_market::obs::register();
-    if backwatch_obs::snapshot().samples.is_empty() {
-        // telemetry compiled out (obs `disabled` feature): nothing to compare
-        return;
-    }
 
     let before = reach_counters();
     let _oracle = reach::analyze(&corpus);

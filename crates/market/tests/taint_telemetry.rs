@@ -40,10 +40,6 @@ fn cached_sweep_advances_taint_counters_exactly_as_the_oracle() {
     let cfg = CorpusConfig::scaled(10).with_sdk_share(70).with_churn_ppm(50_000);
     let corpus = generate(&cfg);
     backwatch_market::obs::register();
-    if backwatch_obs::snapshot().samples.is_empty() {
-        // telemetry compiled out (obs `disabled` feature): nothing to compare
-        return;
-    }
 
     let before = taint_counters();
     for entry in &corpus {

@@ -17,9 +17,6 @@
 //! - **Statically owned.** Metrics are `static` items in the crate they
 //!   instrument; the registry only records `&'static` references, so
 //!   instrumented code never touches the registry.
-//! - **Build-off switch.** With the `disabled` cargo feature every
-//!   operation compiles to a no-op and the registry stays empty, so a
-//!   deployment can buy back the last fraction of a percent.
 //! - **Runtime switch.** [`set_enabled`] gates per-pass flushes without
 //!   recompiling — the overhead-guard bench compares the two settings.
 //!
@@ -33,7 +30,6 @@
 //! obs::register_counter("demo.frames_total", "frames processed", &FRAMES);
 //! FRAMES.add(3);
 //! let snap = obs::snapshot();
-//! # #[cfg(not(feature = "disabled"))]
 //! assert_eq!(snap.counter("demo.frames_total"), Some(3));
 //! ```
 

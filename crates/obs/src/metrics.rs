@@ -5,50 +5,33 @@
 //! atomic operation (or, for [`LocalCounter`], a plain `Cell` update) — the
 //! hot path never locks and never allocates.
 
-#[cfg(not(feature = "disabled"))]
 use std::cell::Cell;
-#[cfg(not(feature = "disabled"))]
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-#[cfg(not(feature = "disabled"))]
 use std::time::Instant;
 
 /// Maximum number of finite bucket bounds a [`Histogram`] can hold.
 pub(crate) const MAX_BUCKETS: usize = 16;
 
-#[cfg(not(feature = "disabled"))]
 static ENABLED: AtomicBool = AtomicBool::new(true);
 
-/// Whether telemetry is currently recording. Always `false` under the
-/// `disabled` feature.
+/// Whether telemetry is currently recording.
 #[inline]
 #[must_use]
 pub fn enabled() -> bool {
-    #[cfg(not(feature = "disabled"))]
-    {
-        ENABLED.load(Ordering::Relaxed)
-    }
-    #[cfg(feature = "disabled")]
-    {
-        false
-    }
+    ENABLED.load(Ordering::Relaxed)
 }
 
 /// Turns telemetry recording on or off at runtime. Individual counter bumps
 /// are so cheap they are not gated; instrumented code gates its *per-pass
 /// flushes* and span timers on [`enabled`], which is what this toggles.
-/// A no-op under the `disabled` feature.
 pub fn set_enabled(on: bool) {
-    #[cfg(not(feature = "disabled"))]
     ENABLED.store(on, Ordering::Relaxed);
-    #[cfg(feature = "disabled")]
-    let _ = on;
 }
 
 /// A monotonically increasing event count: one relaxed `fetch_add` per
 /// bump, safe to share across threads as a `static`.
 #[derive(Debug)]
 pub struct Counter {
-    #[cfg(not(feature = "disabled"))]
     value: AtomicU64,
 }
 
@@ -57,7 +40,6 @@ impl Counter {
     #[must_use]
     pub const fn new() -> Self {
         Self {
-            #[cfg(not(feature = "disabled"))]
             value: AtomicU64::new(0),
         }
     }
@@ -65,10 +47,7 @@ impl Counter {
     /// Adds `n` events.
     #[inline]
     pub fn add(&self, n: u64) {
-        #[cfg(not(feature = "disabled"))]
         self.value.fetch_add(n, Ordering::Relaxed);
-        #[cfg(feature = "disabled")]
-        let _ = n;
     }
 
     /// Adds one event.
@@ -77,22 +56,14 @@ impl Counter {
         self.add(1);
     }
 
-    /// The current count (0 under the `disabled` feature).
+    /// The current count.
     #[must_use]
     pub fn get(&self) -> u64 {
-        #[cfg(not(feature = "disabled"))]
-        {
-            self.value.load(Ordering::Relaxed)
-        }
-        #[cfg(feature = "disabled")]
-        {
-            0
-        }
+        self.value.load(Ordering::Relaxed)
     }
 
     /// Resets the count to zero (tests and fresh report runs).
     pub fn reset(&self) {
-        #[cfg(not(feature = "disabled"))]
         self.value.store(0, Ordering::Relaxed);
     }
 }
@@ -111,7 +82,6 @@ impl Default for Counter {
 /// paying an atomic per decision.
 #[derive(Debug, Clone, Default)]
 pub struct LocalCounter {
-    #[cfg(not(feature = "disabled"))]
     value: Cell<u64>,
 }
 
@@ -119,61 +89,41 @@ impl LocalCounter {
     /// Creates a local counter at zero.
     #[must_use]
     pub const fn new() -> Self {
-        Self {
-            #[cfg(not(feature = "disabled"))]
-            value: Cell::new(0),
-        }
+        Self { value: Cell::new(0) }
     }
 
     /// Adds one event.
     #[inline]
     pub fn inc(&self) {
-        #[cfg(not(feature = "disabled"))]
         self.value.set(self.value.get() + 1);
     }
 
     /// Adds `n` events.
     #[inline]
     pub fn add(&self, n: u64) {
-        #[cfg(not(feature = "disabled"))]
         self.value.set(self.value.get() + n);
-        #[cfg(feature = "disabled")]
-        let _ = n;
     }
 
-    /// The accumulated count (0 under the `disabled` feature).
+    /// The accumulated count.
     #[must_use]
     pub fn get(&self) -> u64 {
-        #[cfg(not(feature = "disabled"))]
-        {
-            self.value.get()
-        }
-        #[cfg(feature = "disabled")]
-        {
-            0
-        }
+        self.value.get()
     }
 
     /// Adds the accumulated count to `target` and zeroes this cell.
     /// Gated on [`enabled`] so a runtime-disabled pipeline skips even the
     /// flush.
     pub fn flush_into(&self, target: &Counter) {
-        #[cfg(not(feature = "disabled"))]
-        {
-            let n = self.value.replace(0);
-            if n > 0 && enabled() {
-                target.add(n);
-            }
+        let n = self.value.replace(0);
+        if n > 0 && enabled() {
+            target.add(n);
         }
-        #[cfg(feature = "disabled")]
-        let _ = target;
     }
 }
 
 /// A value that can go up and down (active workers, in-flight passes).
 #[derive(Debug)]
 pub struct Gauge {
-    #[cfg(not(feature = "disabled"))]
     value: AtomicI64,
 }
 
@@ -182,7 +132,6 @@ impl Gauge {
     #[must_use]
     pub const fn new() -> Self {
         Self {
-            #[cfg(not(feature = "disabled"))]
             value: AtomicI64::new(0),
         }
     }
@@ -190,37 +139,23 @@ impl Gauge {
     /// Sets the gauge.
     #[inline]
     pub fn set(&self, v: i64) {
-        #[cfg(not(feature = "disabled"))]
         self.value.store(v, Ordering::Relaxed);
-        #[cfg(feature = "disabled")]
-        let _ = v;
     }
 
     /// Adds `delta` (may be negative).
     #[inline]
     pub fn add(&self, delta: i64) {
-        #[cfg(not(feature = "disabled"))]
         self.value.fetch_add(delta, Ordering::Relaxed);
-        #[cfg(feature = "disabled")]
-        let _ = delta;
     }
 
-    /// The current value (0 under the `disabled` feature).
+    /// The current value.
     #[must_use]
     pub fn get(&self) -> i64 {
-        #[cfg(not(feature = "disabled"))]
-        {
-            self.value.load(Ordering::Relaxed)
-        }
-        #[cfg(feature = "disabled")]
-        {
-            0
-        }
+        self.value.load(Ordering::Relaxed)
     }
 
     /// Resets the gauge to zero.
     pub fn reset(&self) {
-        #[cfg(not(feature = "disabled"))]
         self.value.store(0, Ordering::Relaxed);
     }
 }
@@ -238,11 +173,8 @@ impl Default for Gauge {
 #[derive(Debug)]
 pub struct Histogram {
     bounds: &'static [u64],
-    #[cfg(not(feature = "disabled"))]
     buckets: [AtomicU64; MAX_BUCKETS + 1],
-    #[cfg(not(feature = "disabled"))]
     count: AtomicU64,
-    #[cfg(not(feature = "disabled"))]
     sum: AtomicU64,
 }
 
@@ -258,11 +190,8 @@ impl Histogram {
         assert!(bounds.len() <= MAX_BUCKETS, "too many histogram bounds");
         Self {
             bounds,
-            #[cfg(not(feature = "disabled"))]
             buckets: [const { AtomicU64::new(0) }; MAX_BUCKETS + 1],
-            #[cfg(not(feature = "disabled"))]
             count: AtomicU64::new(0),
-            #[cfg(not(feature = "disabled"))]
             sum: AtomicU64::new(0),
         }
     }
@@ -276,15 +205,10 @@ impl Histogram {
     /// Records one observation.
     #[inline]
     pub fn record(&self, v: u64) {
-        #[cfg(not(feature = "disabled"))]
-        {
-            let idx = self.bounds.partition_point(|&b| b < v);
-            self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-            self.count.fetch_add(1, Ordering::Relaxed);
-            self.sum.fetch_add(v, Ordering::Relaxed);
-        }
-        #[cfg(feature = "disabled")]
-        let _ = v;
+        let idx = self.bounds.partition_point(|&b| b < v);
+        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(v, Ordering::Relaxed);
     }
 
     /// Records `n` observations of the same value in one shot.
@@ -295,56 +219,32 @@ impl Histogram {
     /// item.
     #[inline]
     pub fn record_n(&self, v: u64, n: u64) {
-        #[cfg(not(feature = "disabled"))]
-        {
-            let idx = self.bounds.partition_point(|&b| b < v);
-            self.buckets[idx].fetch_add(n, Ordering::Relaxed);
-            self.count.fetch_add(n, Ordering::Relaxed);
-            self.sum.fetch_add(v.saturating_mul(n), Ordering::Relaxed);
-        }
-        #[cfg(feature = "disabled")]
-        let _ = (v, n);
+        let idx = self.bounds.partition_point(|&b| b < v);
+        self.buckets[idx].fetch_add(n, Ordering::Relaxed);
+        self.count.fetch_add(n, Ordering::Relaxed);
+        self.sum.fetch_add(v.saturating_mul(n), Ordering::Relaxed);
     }
 
     /// Starts a scoped timer that records elapsed microseconds into this
     /// histogram when dropped. Returns an inert span when telemetry is
-    /// disabled (at runtime or by feature), so the `Instant` is not even
-    /// read.
+    /// disabled, so nothing is recorded.
     pub fn span(&self) -> Span<'_> {
         Span {
-            #[cfg(not(feature = "disabled"))]
             target: enabled().then_some(self),
-            #[cfg(not(feature = "disabled"))]
             start: Instant::now(),
-            #[cfg(feature = "disabled")]
-            _marker: std::marker::PhantomData,
         }
     }
 
     /// Total observations recorded.
     #[must_use]
     pub fn count(&self) -> u64 {
-        #[cfg(not(feature = "disabled"))]
-        {
-            self.count.load(Ordering::Relaxed)
-        }
-        #[cfg(feature = "disabled")]
-        {
-            0
-        }
+        self.count.load(Ordering::Relaxed)
     }
 
     /// Sum of all recorded values.
     #[must_use]
     pub fn sum(&self) -> u64 {
-        #[cfg(not(feature = "disabled"))]
-        {
-            self.sum.load(Ordering::Relaxed)
-        }
-        #[cfg(feature = "disabled")]
-        {
-            0
-        }
+        self.sum.load(Ordering::Relaxed)
     }
 
     /// Per-bucket counts: one entry per finite bound (observations at or
@@ -352,35 +252,23 @@ impl Histogram {
     /// `None`.
     #[must_use]
     pub fn bucket_counts(&self) -> Vec<(Option<u64>, u64)> {
-        #[cfg(not(feature = "disabled"))]
-        {
-            let mut out: Vec<(Option<u64>, u64)> = self
-                .bounds
-                .iter()
-                .enumerate()
-                .map(|(i, &b)| (Some(b), self.buckets[i].load(Ordering::Relaxed)))
-                .collect();
-            out.push((None, self.buckets[self.bounds.len()].load(Ordering::Relaxed)));
-            out
-        }
-        #[cfg(feature = "disabled")]
-        {
-            let mut out: Vec<(Option<u64>, u64)> = self.bounds.iter().map(|&b| (Some(b), 0)).collect();
-            out.push((None, 0));
-            out
-        }
+        let mut out: Vec<(Option<u64>, u64)> = self
+            .bounds
+            .iter()
+            .enumerate()
+            .map(|(i, &b)| (Some(b), self.buckets[i].load(Ordering::Relaxed)))
+            .collect();
+        out.push((None, self.buckets[self.bounds.len()].load(Ordering::Relaxed)));
+        out
     }
 
     /// Resets every bucket, the count, and the sum to zero.
     pub fn reset(&self) {
-        #[cfg(not(feature = "disabled"))]
-        {
-            for b in &self.buckets {
-                b.store(0, Ordering::Relaxed);
-            }
-            self.count.store(0, Ordering::Relaxed);
-            self.sum.store(0, Ordering::Relaxed);
+        for b in &self.buckets {
+            b.store(0, Ordering::Relaxed);
         }
+        self.count.store(0, Ordering::Relaxed);
+        self.sum.store(0, Ordering::Relaxed);
     }
 }
 
@@ -389,17 +277,12 @@ impl Histogram {
 #[derive(Debug)]
 #[must_use = "a span records on drop; binding it to _ drops it immediately"]
 pub struct Span<'a> {
-    #[cfg(not(feature = "disabled"))]
     target: Option<&'a Histogram>,
-    #[cfg(not(feature = "disabled"))]
     start: Instant,
-    #[cfg(feature = "disabled")]
-    _marker: std::marker::PhantomData<&'a Histogram>,
 }
 
 impl Drop for Span<'_> {
     fn drop(&mut self) {
-        #[cfg(not(feature = "disabled"))]
         if let Some(h) = self.target {
             let us = u64::try_from(self.start.elapsed().as_micros()).unwrap_or(u64::MAX);
             h.record(us);
@@ -413,7 +296,6 @@ mod tests {
 
     /// Tests that read or toggle the global enabled switch must not
     /// interleave (the test harness runs tests on parallel threads).
-    #[cfg(not(feature = "disabled"))]
     static ENABLED_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]
@@ -421,10 +303,7 @@ mod tests {
         let c = Counter::new();
         c.inc();
         c.add(4);
-        #[cfg(not(feature = "disabled"))]
         assert_eq!(c.get(), 5);
-        #[cfg(feature = "disabled")]
-        assert_eq!(c.get(), 0);
         c.reset();
         assert_eq!(c.get(), 0);
     }
@@ -436,12 +315,10 @@ mod tests {
         local.add(7);
         local.inc();
         local.flush_into(&shared);
-        #[cfg(not(feature = "disabled"))]
         assert_eq!(shared.get(), 8);
         assert_eq!(local.get(), 0);
         // a second flush adds nothing
         local.flush_into(&shared);
-        #[cfg(not(feature = "disabled"))]
         assert_eq!(shared.get(), 8);
     }
 
@@ -450,16 +327,13 @@ mod tests {
         let g = Gauge::new();
         g.add(3);
         g.add(-1);
-        #[cfg(not(feature = "disabled"))]
         assert_eq!(g.get(), 2);
         g.set(-5);
-        #[cfg(not(feature = "disabled"))]
         assert_eq!(g.get(), -5);
         g.reset();
         assert_eq!(g.get(), 0);
     }
 
-    #[cfg(not(feature = "disabled"))]
     #[test]
     fn histogram_buckets_by_bound() {
         static H: Histogram = Histogram::new(&[10, 100]);
@@ -473,7 +347,6 @@ mod tests {
         assert_eq!(H.bucket_counts(), vec![(Some(10), 2), (Some(100), 1), (None, 1)]);
     }
 
-    #[cfg(not(feature = "disabled"))]
     #[test]
     fn span_records_elapsed_micros() {
         static H: Histogram = Histogram::new(&[1_000_000]);
@@ -487,7 +360,6 @@ mod tests {
         assert!(H.sum() >= 2_000, "slept 2 ms, recorded {} us", H.sum());
     }
 
-    #[cfg(not(feature = "disabled"))]
     #[test]
     fn disabled_runtime_switch_gates_flush_and_spans() {
         static H: Histogram = Histogram::new(&[10]);
@@ -518,7 +390,6 @@ mod tests {
                 });
             }
         });
-        #[cfg(not(feature = "disabled"))]
         assert_eq!(C.get(), 4000);
     }
 }

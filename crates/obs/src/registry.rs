@@ -12,36 +12,26 @@ use std::fmt::Write as _;
 use std::sync::Mutex;
 
 #[derive(Clone, Copy)]
-#[cfg_attr(feature = "disabled", allow(dead_code))]
 enum MetricRef {
     Counter(&'static Counter),
     Gauge(&'static Gauge),
     Histogram(&'static Histogram),
 }
 
-#[cfg_attr(feature = "disabled", allow(dead_code))]
 struct Registration {
     name: &'static str,
     help: &'static str,
     metric: MetricRef,
 }
 
-#[cfg_attr(feature = "disabled", allow(dead_code))]
 static REGISTRY: Mutex<Vec<Registration>> = Mutex::new(Vec::new());
 
 fn register(name: &'static str, help: &'static str, metric: MetricRef) {
-    #[cfg(feature = "disabled")]
-    {
-        let _ = (name, help, metric);
+    let mut reg = REGISTRY.lock().expect("metric registry never poisoned");
+    if reg.iter().any(|r| r.name == name) {
+        return;
     }
-    #[cfg(not(feature = "disabled"))]
-    {
-        let mut reg = REGISTRY.lock().expect("metric registry never poisoned");
-        if reg.iter().any(|r| r.name == name) {
-            return;
-        }
-        reg.push(Registration { name, help, metric });
-    }
+    reg.push(Registration { name, help, metric });
 }
 
 /// Registers a counter under `name`. Idempotent: a name already present is
@@ -62,7 +52,6 @@ pub fn register_histogram(name: &'static str, help: &'static str, histogram: &'s
 
 /// Resets every registered metric to zero — fresh report runs and tests.
 pub fn reset_all() {
-    #[cfg(not(feature = "disabled"))]
     for r in REGISTRY.lock().expect("metric registry never poisoned").iter() {
         match r.metric {
             MetricRef::Counter(c) => c.reset(),
@@ -113,31 +102,24 @@ pub struct Snapshot {
 /// Samples every registered metric.
 #[must_use]
 pub fn snapshot() -> Snapshot {
-    #[cfg(feature = "disabled")]
-    {
-        Snapshot::default()
-    }
-    #[cfg(not(feature = "disabled"))]
-    {
-        let reg = REGISTRY.lock().expect("metric registry never poisoned");
-        let samples = reg
-            .iter()
-            .map(|r| Sample {
-                name: r.name,
-                help: r.help,
-                value: match r.metric {
-                    MetricRef::Counter(c) => MetricValue::Counter(c.get()),
-                    MetricRef::Gauge(g) => MetricValue::Gauge(g.get()),
-                    MetricRef::Histogram(h) => MetricValue::Histogram {
-                        count: h.count(),
-                        sum: h.sum(),
-                        buckets: h.bucket_counts(),
-                    },
+    let reg = REGISTRY.lock().expect("metric registry never poisoned");
+    let samples = reg
+        .iter()
+        .map(|r| Sample {
+            name: r.name,
+            help: r.help,
+            value: match r.metric {
+                MetricRef::Counter(c) => MetricValue::Counter(c.get()),
+                MetricRef::Gauge(g) => MetricValue::Gauge(g.get()),
+                MetricRef::Histogram(h) => MetricValue::Histogram {
+                    count: h.count(),
+                    sum: h.sum(),
+                    buckets: h.bucket_counts(),
                 },
-            })
-            .collect();
-        Snapshot { samples }
-    }
+            },
+        })
+        .collect();
+    Snapshot { samples }
 }
 
 impl Snapshot {
@@ -249,7 +231,6 @@ mod tests {
         register_histogram("test.reg.hist_us", "a histogram", &H);
     }
 
-    #[cfg(not(feature = "disabled"))]
     #[test]
     fn registration_is_idempotent_and_snapshot_reads_values() {
         register_fixture();
@@ -266,7 +247,6 @@ mod tests {
         assert_eq!(snap.samples.iter().filter(|e| e.name.starts_with("test.reg.")).count(), 3);
     }
 
-    #[cfg(not(feature = "disabled"))]
     #[test]
     fn render_formats_contain_every_metric() {
         register_fixture();
@@ -279,12 +259,5 @@ mod tests {
         }
         assert!(machine.lines().all(|l| l.starts_with("telemetry ")));
         assert!(machine.contains("histogram_bucket test.reg.hist_us le=+inf"));
-    }
-
-    #[cfg(feature = "disabled")]
-    #[test]
-    fn disabled_registry_is_empty() {
-        register_fixture();
-        assert!(snapshot().samples.is_empty());
     }
 }

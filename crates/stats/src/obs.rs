@@ -37,8 +37,6 @@ mod tests {
         super::register();
         super::register();
         let snap = backwatch_obs::snapshot();
-        if !snap.samples.is_empty() {
-            assert!(snap.counter("stats.chi2.evals_total").is_some());
-        }
+        assert!(snap.counter("stats.chi2.evals_total").is_some());
     }
 }

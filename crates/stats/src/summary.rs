@@ -206,8 +206,8 @@ mod tests {
         assert_eq!(quantile(&xs, 0.0), Some(1.0));
         assert_eq!(quantile(&xs, 1.0), Some(3.0));
         let dropped = crate::obs::SUMMARY_NONFINITE_DROPPED.get() - before;
-        // three calls, three non-finite values each (0 when obs is built disabled)
-        assert!(dropped == 9 || dropped == 0, "unexpected drop count {dropped}");
+        // three calls, three non-finite values each
+        assert_eq!(dropped, 9, "unexpected drop count {dropped}");
     }
 
     #[test]

@@ -75,8 +75,6 @@ mod tests {
         super::register();
         super::register();
         let snap = backwatch_obs::snapshot();
-        if !snap.samples.is_empty() {
-            assert!(snap.counter("trace.synth.users_total").is_some());
-        }
+        assert!(snap.counter("trace.synth.users_total").is_some());
     }
 }

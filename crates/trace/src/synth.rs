@@ -226,6 +226,23 @@ pub fn generate_user(cfg: &SynthConfig, user_idx: u32) -> UserTrace {
     }
 }
 
+/// The home of user `user_idx`, from the same first RNG draws
+/// [`generate_user`] makes, without synthesizing or recording a trace:
+/// equal to that user's `places[0].pos`.
+///
+/// # Panics
+///
+/// Panics if `cfg` fails [`SynthConfig::validate`] or
+/// `user_idx >= cfg.n_users`.
+#[must_use]
+pub fn generate_home(cfg: &SynthConfig, user_idx: u32) -> LatLon {
+    cfg.validate();
+    assert!(user_idx < cfg.n_users, "user {user_idx} out of range ({} users)", cfg.n_users);
+    let mut rng = StdRng::seed_from_u64(split_seed(cfg.seed, user_idx));
+    let home = draw_home(cfg, &mut rng);
+    Frame::new(cfg.city_center).to_latlon(Meters::new(home.0), Meters::new(home.1))
+}
+
 /// Generates the whole population eagerly. Prefer iterating
 /// [`generate_user`] for large configurations.
 #[must_use]
@@ -281,10 +298,15 @@ fn shared_pools(cfg: &SynthConfig) -> (EnuPool, EnuPool) {
     (errands, workplaces)
 }
 
+/// Home is private: uniform in the residential disk. It is the first draw
+/// from a user's RNG, so [`generate_home`] can stop there.
+fn draw_home(cfg: &SynthConfig, rng: &mut StdRng) -> (f64, f64) {
+    uniform_in_disk(rng, cfg.city_radius_m.get() * 0.8)
+}
+
 fn gen_places(cfg: &SynthConfig, frame: &Frame, rng: &mut StdRng) -> Vec<Place> {
     let (errand_pool, work_pool) = shared_pools(cfg);
-    // Home is private: uniform in the residential disk.
-    let home = uniform_in_disk(rng, cfg.city_radius_m.get() * 0.8);
+    let home = draw_home(cfg, rng);
     // Work comes from the shared workplace pool, Zipf-popular (big
     // employers attract many of the synthetic users — the Geolife campus
     // effect).
@@ -543,6 +565,9 @@ mod tests {
         assert_eq!(u.places[0].kind, PlaceKind::Home);
         assert_eq!(u.places[0].id, 0);
         assert!(u.places.len() >= 3);
+        for i in 0..3 {
+            assert_eq!(generate_home(&cfg(), i), generate_user(&cfg(), i).places[0].pos);
+        }
     }
 
     #[test]
