@@ -11,10 +11,14 @@
 use backwatch_obs::{register_counter, register_gauge, Counter, Gauge};
 use std::sync::Once;
 
-/// Extraction passes completed (one per `extract*` call).
+/// Extraction passes completed (one per `extract*` call; the fused
+/// `extract_soa_and_rotated` counts as the two passes it replaces).
 pub static POI_PASSES: Counter = Counter::new();
-/// Trace fixes consumed across all extraction passes.
+/// Trace fixes pushed through an engine across all extraction passes.
 pub static POI_POINTS: Counter = Counter::new();
+/// Fixes of rotated views taken from a full pass's stays rather than
+/// pushed (see `SpatioTemporalExtractor::extract_soa_and_rotated`).
+pub static POI_SPLICED: Counter = Counter::new();
 /// PoI visits (stays) emitted across all extraction passes.
 pub static POI_STAYS: Counter = Counter::new();
 /// Planar radius decisions settled by the certified filter alone.
@@ -75,6 +79,11 @@ pub fn register() {
     ONCE.call_once(|| {
         register_counter("core.poi.passes_total", "PoI extraction passes completed", &POI_PASSES);
         register_counter("core.poi.points_total", "trace fixes consumed by PoI extraction", &POI_POINTS);
+        register_counter(
+            "core.poi.spliced_points_total",
+            "rotated-view fixes spliced from a full pass instead of pushed",
+            &POI_SPLICED,
+        );
         register_counter("core.poi.stays_total", "PoI visits emitted", &POI_STAYS);
         register_counter(
             "core.poi.planar_certified_total",

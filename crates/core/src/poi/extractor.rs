@@ -16,7 +16,7 @@
 //! paper measures in Figure 3.
 
 use super::buffer::{BufferPoint, CentroidBuffer, PlanarCtx};
-use super::streaming::StreamingExtractor;
+use super::streaming::{EngineState, StreamingExtractor};
 use backwatch_geo::distance::Metric;
 use backwatch_geo::{LatLon, Meters, Seconds};
 use backwatch_trace::{ProjectedPoint, SoaProjectedTrace, Timestamp, Trace};
@@ -182,6 +182,41 @@ impl SpatioTemporalExtractor {
         self.run_planar(soa, soa.rotated_from(start))
     }
 
+    /// The pair `(extract_soa(soa), extract_rotated_soa(soa, start))`, bit
+    /// for bit, from one full pass plus two short runs over the rotated
+    /// view — its tail `soa[start..]`, then its head `soa[..start]` moved
+    /// past the trace's end. Each short run pushes fixes only until its
+    /// engine, right after a visit entry, is in the state the full pass
+    /// was in after the same source fix (times and indices shifted for the
+    /// head); from there it splices in the full pass's stays instead of
+    /// recomputing them. A run that never resynchronizes pushes every fix,
+    /// which is what [`extract_rotated_soa`] costs. `start` has the same
+    /// contract as there.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `start > 0` and `start >= soa.len()`.
+    ///
+    /// [`extract_rotated_soa`]: SpatioTemporalExtractor::extract_rotated_soa
+    #[must_use]
+    pub fn extract_soa_and_rotated(&self, soa: &SoaProjectedTrace, start: usize) -> (Vec<Stay>, Vec<Stay>) {
+        let n = soa.len();
+        assert!(start == 0 || start < n, "start {start} out of range for {n} points");
+        let ctx = PlanarCtx::for_soa(soa, self.params.metric);
+        let full = FullPass::run(self.params, soa, start, &ctx);
+        // `start == 0` rotates nothing: the view is the trace itself.
+        let (rotated, spliced) = if start == 0 {
+            (full.stays.clone(), n)
+        } else {
+            full.rotated(soa, start, &ctx)
+        };
+        ctx.flush_decision_counts();
+        // Counted as the two passes this call replaces; only the fixes
+        // actually pushed count as consumed.
+        record_passes(2, 2 * n - spliced, spliced, full.stays.len() + rotated.len());
+        (full.stays, rotated)
+    }
+
     /// The planar driver behind every `extract_*_soa` view: builds the
     /// geometry context for `soa`, runs the engine over `points`, and
     /// flushes the pass's certified/refined tallies.
@@ -206,15 +241,158 @@ impl SpatioTemporalExtractor {
                 stays.push(stay);
             }
         }
-        let n_points = engine.stream_position() as u64;
+        let n_points = engine.stream_position();
         // Trace ended while inside a PoI: finish closes the open visit.
         stays.extend(engine.finish());
-        if backwatch_obs::enabled() {
-            crate::obs::POI_PASSES.inc();
-            crate::obs::POI_POINTS.add(n_points);
-            crate::obs::POI_STAYS.add(stays.len() as u64);
-        }
+        record_passes(1, n_points, 0, stays.len());
         stays
+    }
+}
+
+/// Adds finished extraction passes to the `core.poi.*` counters: `pushed`
+/// fixes driven through an engine, `spliced` rotated-view fixes taken from
+/// a full pass instead, and the stays the passes yielded.
+fn record_passes(passes: u64, pushed: usize, spliced: usize, stays: usize) {
+    if backwatch_obs::enabled() {
+        crate::obs::POI_PASSES.add(passes);
+        crate::obs::POI_POINTS.add(pushed as u64);
+        crate::obs::POI_SPLICED.add(spliced as u64);
+        crate::obs::POI_STAYS.add(stays as u64);
+    }
+}
+
+/// The full pass of [`SpatioTemporalExtractor::extract_soa_and_rotated`]:
+/// its stays, plus what a rotated view needs to resynchronize with it and
+/// splice its stays.
+struct FullPass {
+    /// The parameters the pass ran with; the rotated runs use the same.
+    params: ExtractorParams,
+    /// The full-rate stays, in emission order.
+    stays: Vec<Stay>,
+    /// For each of `stays`, the index of the fix whose push emitted it
+    /// (the trace length for the visit `finish` closed).
+    emitted_at: Vec<usize>,
+    /// Every visit entry: the entering fix's index and the engine state
+    /// right after it, in fix order.
+    entries: Vec<(usize, EngineState<ProjectedPoint>)>,
+    /// The stay `finish` would have emitted had the stream ended at fix
+    /// `start − 1`.
+    seam_close: Option<Stay>,
+    /// The engine after the last fix, before `finish`.
+    last: EngineState<ProjectedPoint>,
+}
+
+impl FullPass {
+    fn run(params: ExtractorParams, soa: &SoaProjectedTrace, start: usize, ctx: &PlanarCtx) -> Self {
+        let mut engine: StreamingExtractor<ProjectedPoint> = StreamingExtractor::new(params);
+        let (mut stays, mut emitted_at, mut entries) = (Vec::new(), Vec::new(), Vec::new());
+        let mut seam_close = None;
+        for (i, point) in soa.iter().enumerate() {
+            let (stay, entered) = engine.push_noting_entry(point, ctx);
+            if let Some(stay) = stay {
+                stays.push(stay);
+                emitted_at.push(i);
+            }
+            if entered {
+                entries.push((i, engine.state()));
+            }
+            if i + 1 == start {
+                seam_close = engine.peek_finish();
+            }
+        }
+        let last = engine.state();
+        if let Some(stay) = engine.finish() {
+            stays.push(stay);
+            emitted_at.push(soa.len());
+        }
+        Self {
+            params,
+            stays,
+            emitted_at,
+            entries,
+            seam_close,
+            last,
+        }
+    }
+
+    /// The stays of the view rotated to begin at `start` (`0 < start <
+    /// n`), and how many of its fixes were spliced rather than pushed.
+    ///
+    /// The engine is positioned at `start`, so a tail fix keeps its source
+    /// index and head fix `k` gets `n + k`; every head fix is moved by
+    /// `dt`, as in [`SoaProjectedTrace::rotated_from`]. After each visit
+    /// entry at a fix where the full pass also entered, equal states mean
+    /// equal futures, so the rest of that phase is copied from the full
+    /// pass.
+    fn rotated(&self, soa: &SoaProjectedTrace, start: usize, ctx: &PlanarCtx) -> (Vec<Stay>, usize) {
+        let n = soa.len();
+        // Both ends exist since 0 < start < n; the head resumes one second
+        // after the tail's last fix.
+        let (first, last) = (soa.times().first().copied(), soa.times().last().copied());
+        let dt = last.unwrap_or(0) + 1 - first.unwrap_or(0);
+        let mut engine = StreamingExtractor::starting_at(self.params, start);
+        let mut out = Vec::new();
+        let mut spliced = 0;
+        // Tail: on a match at fix i, the full pass's later stays are the
+        // tail's, and its final engine is where the head continues from.
+        for i in start..n {
+            let (stay, entered) = engine.push_noting_entry(soa.point(i), ctx);
+            out.extend(stay);
+            if entered && self.entered_alike(i, &engine, 0, 0) {
+                out.extend_from_slice(self.emitted_between(i, n));
+                engine.restore(&self.last);
+                spliced += n - 1 - i;
+                break;
+            }
+        }
+        // Head: on a match at fix k, the full pass's stays up to the seam,
+        // then the visit it had open there, moved to the view's times.
+        let mut resynced = false;
+        for k in 0..start {
+            let point = soa.point(k);
+            let shifted = ProjectedPoint {
+                time: point.time + dt,
+                ..point
+            };
+            let (stay, entered) = engine.push_noting_entry(shifted, ctx);
+            out.extend(stay);
+            if entered && self.entered_alike(k, &engine, dt, n) {
+                let shift = |s: &Stay| Stay {
+                    enter: s.enter + dt,
+                    leave: s.leave + dt,
+                    end_index: s.end_index + n,
+                    ..*s
+                };
+                out.extend(self.emitted_between(k, start).iter().map(shift));
+                out.extend(self.seam_close.as_ref().map(shift));
+                spliced += start - 1 - k;
+                resynced = true;
+                break;
+            }
+        }
+        if !resynced {
+            out.extend(engine.finish());
+        }
+        for stay in &mut out {
+            stay.end_index -= start;
+        }
+        (out, spliced)
+    }
+
+    /// Whether the full pass entered a visit at fix `index` and `engine`
+    /// is now in that state replayed `dt` seconds and `di` fixes later.
+    fn entered_alike(&self, index: usize, engine: &StreamingExtractor<ProjectedPoint>, dt: i64, di: usize) -> bool {
+        self.entries
+            .binary_search_by_key(&index, |(i, _)| *i)
+            .is_ok_and(|at| engine.is_shift_of(&self.entries[at].1, dt, di))
+    }
+
+    /// The full pass's stays emitted by fixes after `after` and before
+    /// `before`.
+    fn emitted_between(&self, after: usize, before: usize) -> &[Stay] {
+        let from = self.emitted_at.partition_point(|&e| e <= after);
+        let to = self.emitted_at.partition_point(|&e| e < before);
+        &self.stays[from..to]
     }
 }
 
@@ -256,8 +434,14 @@ impl NaiveDwellExtractor {
                 for q in &pts[i..j] {
                     buf.push(*q);
                 }
+                // The window holds at least the anchor fix, so the
+                // centroid exists; without one the anchor emits nothing.
+                let Some(centroid) = buf.centroid() else {
+                    i += 1;
+                    continue;
+                };
                 stays.push(Stay {
-                    centroid: buf.centroid().expect("non-empty window"),
+                    centroid,
                     enter: pts[i].time,
                     leave: pts[j - 1].time,
                     n_points: j - i,
@@ -412,6 +596,67 @@ mod tests {
         assert!(stays.iter().all(|s| s.end_index < trace.len()));
     }
 
+    /// The fused call's rotated stays for the view of `trace` beginning at
+    /// `start`, checked against extracting that view alone, and how many
+    /// of its fixes were spliced from the full pass.
+    fn fused_rotation(trace: &Trace, start: usize) -> (Vec<Stay>, usize) {
+        let params = ExtractorParams::paper_set1();
+        let soa = SoaProjectedTrace::project(trace);
+        let ctx = PlanarCtx::for_soa(&soa, params.metric);
+        let (stays, spliced) = FullPass::run(params, &soa, start, &ctx).rotated(&soa, start, &ctx);
+        let alone = SpatioTemporalExtractor::new(params).extract_rotated_soa(&soa, start);
+        assert_eq!(stays, alone, "start {start}");
+        (stays, spliced)
+    }
+
+    #[test]
+    fn rotated_view_starting_inside_a_visit_resyncs_at_the_next_entry() {
+        // A, B, C; the view begins 450 s into A, too late for A to count
+        let mut pts = dwell(0, 900, 39.90, 116.40);
+        pts.extend(walk(900, (39.90, 116.40), (39.92, 116.42), 1500));
+        pts.extend(dwell(2400, 900, 39.92, 116.42));
+        pts.extend(walk(3300, (39.92, 116.42), (39.94, 116.40), 1500));
+        pts.extend(dwell(4800, 900, 39.94, 116.40));
+        let trace = Trace::from_points(pts);
+        let (stays, spliced) = fused_rotation(&trace, 450);
+        assert_eq!(stays.len(), 2, "B and C: {stays:?}");
+        // the tail resyncs on entering B, so all of C is spliced
+        assert!(spliced > 900 + 1500, "spliced {spliced}");
+    }
+
+    #[test]
+    fn rotated_view_with_a_seam_inside_a_visit_splices_the_open_visit() {
+        // home, B, home: the view begins 900 s into B and its seam joins
+        // the evening at home to the morning there
+        let mut pts = dwell(0, 1800, 39.90, 116.40);
+        pts.extend(walk(1800, (39.90, 116.40), (39.92, 116.42), 1500));
+        pts.extend(dwell(3300, 1800, 39.92, 116.42));
+        pts.extend(walk(5100, (39.92, 116.42), (39.90, 116.40), 1500));
+        pts.extend(dwell(6600, 1800, 39.90, 116.40));
+        let trace = Trace::from_points(pts);
+        let start = 3300 + 900;
+        let (stays, spliced) = fused_rotation(&trace, start);
+        // rest of B, home across the seam, then B up to the view's end —
+        // the visit the full pass still had open at fix start − 1
+        assert_eq!(stays.len(), 3, "{stays:?}");
+        let seam = trace.points()[trace.len() - 1].time;
+        assert!(stays[1].enter < seam && stays[1].leave > seam, "{stays:?}");
+        assert_eq!(stays[2].end_index, trace.len() - 1);
+        // both runs resync — the tail on entering home, the head on
+        // entering B — since neither alone can splice 1,800 fixes
+        assert!(spliced >= 1800, "spliced {spliced}");
+    }
+
+    #[test]
+    fn rotated_view_of_one_long_dwell_never_resyncs() {
+        // the view enters the only visit at its first fix, where the full
+        // pass was already inside, and never enters another
+        let trace = Trace::from_points(dwell(0, 1200, 39.9, 116.4));
+        let (stays, spliced) = fused_rotation(&trace, 600);
+        assert_eq!(stays.len(), 1);
+        assert_eq!(spliced, 0, "a run that never matches pushes every fix");
+    }
+
     #[test]
     fn empty_trace_yields_nothing() {
         let stays = SpatioTemporalExtractor::new(ExtractorParams::paper_set1()).extract(&Trace::new());
@@ -457,6 +702,7 @@ mod tests {
         assert!(extractor.extract_soa(&soa).is_empty());
         assert!(extractor.extract_sampled_soa(&soa, &[]).is_empty());
         assert!(extractor.extract_rotated_soa(&soa, 0).is_empty());
+        assert_eq!(extractor.extract_soa_and_rotated(&soa, 0), (vec![], vec![]));
         assert!(NaiveDwellExtractor::new(params).extract(&empty).is_empty());
     }
 
@@ -470,6 +716,7 @@ mod tests {
         assert!(extractor.extract_soa(&soa).is_empty());
         assert!(extractor.extract_sampled_soa(&soa, &[0]).is_empty());
         assert!(extractor.extract_rotated_soa(&soa, 0).is_empty());
+        assert_eq!(extractor.extract_soa_and_rotated(&soa, 0), (vec![], vec![]));
         assert!(NaiveDwellExtractor::new(params).extract(&one).is_empty());
     }
 }

@@ -51,6 +51,7 @@ const KIND_PLANAR: u64 = 2;
 /// (= running sums / length), so carrying exactly those fields reproduces
 /// every decision and every emitted [`Stay`] bit-for-bit while the memory
 /// footprint stops growing with visit length.
+#[derive(Clone)]
 struct StayAccum<P> {
     /// First fix of the visit (the stay's `enter`).
     front: P,
@@ -120,6 +121,7 @@ impl<P: BufferPoint> StayAccum<P> {
 }
 
 /// The three-buffer state machine's mode, lifted out of the batch loop.
+#[derive(Clone)]
 enum Machine<P: BufferPoint> {
     /// Moving: the entry window watches for the user settling.
     Outside { entry: CentroidBuffer<P> },
@@ -148,6 +150,84 @@ impl<P: BufferPoint> Machine<P> {
             Machine::Inside { exit, .. } => exit.len(),
         }
     }
+}
+
+impl Machine<ProjectedPoint> {
+    /// Whether this machine is `earlier` replayed `dt` seconds and `di`
+    /// fixes later: every field equal — floats by bits, fix times moved by
+    /// `dt`, fix indices by `di`. The destructuring is exhaustive, so a
+    /// field added to the machine cannot be left out of the comparison.
+    fn is_shift_of(&self, earlier: &Self, dt: i64, di: usize) -> bool {
+        match (self, earlier) {
+            (Machine::Outside { entry }, Machine::Outside { entry: earlier_entry }) => {
+                buffer_is_shift_of(entry, earlier_entry, dt)
+            }
+            (
+                Machine::Inside {
+                    poi,
+                    exit,
+                    last_inside_index,
+                },
+                Machine::Inside {
+                    poi: earlier_poi,
+                    exit: earlier_exit,
+                    last_inside_index: earlier_last,
+                },
+            ) => {
+                let StayAccum {
+                    front,
+                    back,
+                    len,
+                    sum_lat,
+                    sum_lon,
+                } = poi;
+                *last_inside_index == earlier_last + di
+                    && *len == earlier_poi.len
+                    && sum_lat.to_bits() == earlier_poi.sum_lat.to_bits()
+                    && sum_lon.to_bits() == earlier_poi.sum_lon.to_bits()
+                    && point_is_shift_of(front, &earlier_poi.front, dt)
+                    && point_is_shift_of(back, &earlier_poi.back, dt)
+                    && buffer_is_shift_of(exit, earlier_exit, dt)
+            }
+            _ => false,
+        }
+    }
+}
+
+/// Whether `p` is `earlier` recorded `dt` seconds later, every other field
+/// equal by bits.
+fn point_is_shift_of(p: &ProjectedPoint, earlier: &ProjectedPoint, dt: i64) -> bool {
+    let ProjectedPoint { time, pos, x, y } = p;
+    *time == earlier.time + dt
+        && pos.lat().to_bits() == earlier.pos.lat().to_bits()
+        && pos.lon().to_bits() == earlier.pos.lon().to_bits()
+        && x.to_bits() == earlier.x.to_bits()
+        && y.to_bits() == earlier.y.to_bits()
+}
+
+/// Whether `buf` holds `earlier`'s fixes recorded `dt` seconds later, with
+/// the same running-sum bits.
+fn buffer_is_shift_of(buf: &CentroidBuffer<ProjectedPoint>, earlier: &CentroidBuffer<ProjectedPoint>, dt: i64) -> bool {
+    let ((lat, lon), (earlier_lat, earlier_lon)) = (buf.sums(), earlier.sums());
+    buf.len() == earlier.len()
+        && lat.to_bits() == earlier_lat.to_bits()
+        && lon.to_bits() == earlier_lon.to_bits()
+        && buf
+            .points()
+            .iter()
+            .zip(earlier.points())
+            .all(|(p, q)| point_is_shift_of(p, q, dt))
+}
+
+/// A copy of an engine's parameters, machine and stream position — all of
+/// its state except the telemetry tallies and the peak-buffer mark. The
+/// batch driver's rotated-view resync records these at visit entries,
+/// compares against them, and continues from them (crate-private).
+#[derive(Clone)]
+pub(crate) struct EngineState<P: BufferPoint> {
+    params: ExtractorParams,
+    machine: Machine<P>,
+    next_index: usize,
 }
 
 /// Online three-buffer PoI extractor: push fixes one at a time, receive
@@ -259,15 +339,24 @@ impl<P: BufferPoint> StreamingExtractor<P> {
     /// Fixes must arrive in strictly increasing time order, as
     /// [`backwatch_trace::Trace`] guarantees; the engine does not re-sort.
     pub fn push_with(&mut self, point: P, ctx: &P::Ctx) -> Option<Stay> {
+        self.push_noting_entry(point, ctx).0
+    }
+
+    /// [`push_with`](Self::push_with) that also reports whether this fix
+    /// entered a visit. Right after an entry the engine's state carries no
+    /// history (see [`Self::step`]), which is what lets the batch driver
+    /// resynchronize a rotated view with the full pass there.
+    #[inline]
+    pub(crate) fn push_noting_entry(&mut self, point: P, ctx: &P::Ctx) -> (Option<Stay>, bool) {
         let index = self.next_index;
         self.next_index += 1;
         self.pushed_since_flush += 1;
-        let stay = Self::step(&self.params, &mut self.machine, point, index, ctx);
+        let (stay, entered) = Self::step(&self.params, &mut self.machine, point, index, ctx);
         self.peak_buffered = self.peak_buffered.max(self.machine.buffered_len());
         if stay.is_some() {
             self.emitted_since_flush += 1;
         }
-        stay
+        (stay, entered)
     }
 
     /// One transition of the three-buffer state machine. This is the batch
@@ -279,7 +368,15 @@ impl<P: BufferPoint> StreamingExtractor<P> {
     /// Outside, stay Inside) touch only the live variant, so a push does
     /// not move the ~300-byte machine through a take-and-rebuild round
     /// trip; the variant is reassigned only on the rare mode changes.
-    fn step(params: &ExtractorParams, machine: &mut Machine<P>, point: P, index: usize, ctx: &P::Ctx) -> Option<Stay> {
+    ///
+    /// Returns the emitted stay and whether the fix entered a visit. A
+    /// visit is entered in exactly two places — settling from `Outside`,
+    /// and re-entering right after a confirmed exit — and both leave the
+    /// machine with a PoI accumulator rebuilt from 0.0 over the drained
+    /// window, an empty exit window, and `last_inside_index` equal to this
+    /// fix: no state from before the drained window survives.
+    #[inline]
+    fn step(params: &ExtractorParams, machine: &mut Machine<P>, point: P, index: usize, ctx: &P::Ctx) -> (Option<Stay>, bool) {
         match machine {
             Machine::Outside { entry } => {
                 entry.push(point);
@@ -297,9 +394,10 @@ impl<P: BufferPoint> StreamingExtractor<P> {
                             exit: CentroidBuffer::new(),
                             last_inside_index: index,
                         };
+                        return (None, true);
                     }
                 }
-                None
+                (None, false)
             }
             Machine::Inside {
                 poi,
@@ -314,7 +412,7 @@ impl<P: BufferPoint> StreamingExtractor<P> {
                     }
                     poi.push(point);
                     *last_inside_index = index;
-                    None
+                    (None, false)
                 } else {
                     exit.push(point);
                     let away_secs = point.time() - poi.back.time();
@@ -334,20 +432,19 @@ impl<P: BufferPoint> StreamingExtractor<P> {
                         // Re-check immediately: the exit points may already
                         // cluster at the next PoI.
                         if entry.is_within_spread(params.radius_m, ctx) && entry.span_secs() > 0 {
-                            *machine = match StayAccum::from_drained(&mut entry) {
-                                Some(next_poi) => Machine::Inside {
+                            if let Some(next_poi) = StayAccum::from_drained(&mut entry) {
+                                *machine = Machine::Inside {
                                     poi: next_poi,
                                     exit: CentroidBuffer::new(),
                                     last_inside_index: index,
-                                },
-                                None => Machine::Outside { entry },
-                            };
-                        } else {
-                            *machine = Machine::Outside { entry };
+                                };
+                                return (stay, true);
+                            }
                         }
-                        stay
+                        *machine = Machine::Outside { entry };
+                        (stay, false)
                     } else {
-                        None
+                        (None, false)
                     }
                 }
             }
@@ -358,13 +455,8 @@ impl<P: BufferPoint> StreamingExtractor<P> {
     /// batch path's final `close()`), flushes this engine's telemetry
     /// tallies, and resets the engine to stream position 0 for reuse.
     pub fn finish(&mut self) -> Option<Stay> {
-        let machine = std::mem::take(&mut self.machine);
-        let stay = match machine {
-            Machine::Inside {
-                poi, last_inside_index, ..
-            } => poi.close(&self.params, last_inside_index),
-            Machine::Outside { .. } => None,
-        };
+        let stay = self.peek_finish();
+        self.machine = Machine::default();
         if stay.is_some() {
             self.emitted_since_flush += 1;
         }
@@ -372,6 +464,43 @@ impl<P: BufferPoint> StreamingExtractor<P> {
         self.next_index = 0;
         self.peak_buffered = 0;
         stay
+    }
+
+    /// The stay [`finish`](Self::finish) would emit if the stream ended
+    /// now, read without ending it.
+    pub(crate) fn peek_finish(&self) -> Option<Stay> {
+        match &self.machine {
+            Machine::Inside {
+                poi, last_inside_index, ..
+            } => poi.close(&self.params, *last_inside_index),
+            Machine::Outside { .. } => None,
+        }
+    }
+
+    /// An engine at stream position `next_index`, so that the fixes it is
+    /// fed carry the indices they hold in a longer source trace.
+    pub(crate) fn starting_at(params: ExtractorParams, next_index: usize) -> Self {
+        let mut engine = Self::new(params);
+        engine.next_index = next_index;
+        engine
+    }
+
+    /// A copy of this engine's state (see [`EngineState`]).
+    pub(crate) fn state(&self) -> EngineState<P> {
+        EngineState {
+            params: self.params,
+            machine: self.machine.clone(),
+            next_index: self.next_index,
+        }
+    }
+
+    /// Continues from `state`: the next push behaves as it would on the
+    /// engine `state` was copied from. This engine's telemetry tallies and
+    /// peak-buffer mark are kept.
+    pub(crate) fn restore(&mut self, state: &EngineState<P>) {
+        self.params = state.params;
+        self.machine = state.machine.clone();
+        self.next_index = state.next_index;
     }
 
     /// Adds this engine's unflushed tallies to the shared `core.stream.*`
@@ -396,6 +525,27 @@ impl<P: BufferPoint> Drop for StreamingExtractor<P> {
     /// off) still accounts for the fixes it processed.
     fn drop(&mut self) {
         self.flush_telemetry();
+    }
+}
+
+impl StreamingExtractor<ProjectedPoint> {
+    /// Whether this engine's state is `earlier` replayed `dt` seconds and
+    /// `di` fixes later: equal parameters and an equal machine, compared
+    /// field by field with floats by bits (every field a [`Checkpoint`]
+    /// serializes except the stream position and the peak-buffer mark).
+    /// Two such engines fed the same fixes, moved `dt` seconds, emit the
+    /// same stays moved `dt` seconds and `di` fixes: every decision reads
+    /// time only as a difference.
+    pub(crate) fn is_shift_of(&self, earlier: &EngineState<ProjectedPoint>, dt: i64, di: usize) -> bool {
+        let Self {
+            params,
+            machine,
+            next_index: _,
+            peak_buffered: _,
+            pushed_since_flush: _,
+            emitted_since_flush: _,
+        } = self;
+        *params == earlier.params && machine.is_shift_of(&earlier.machine, dt, di)
     }
 }
 

@@ -63,7 +63,10 @@ fn prepare_one(cfg: &ExperimentConfig, user_idx: u32) -> UserData {
     // reuses it.
     let projected = SoaProjectedTrace::project(&user.trace);
 
-    let full_stays = extractor.extract_soa(&projected);
+    // Full-rate stays, and those of collection beginning at a random
+    // position (Figure 4(b)), from one fused pass.
+    let start = random_start(cfg, user_idx, user.trace.len());
+    let (full_stays, rotated_stays) = extractor.extract_soa_and_rotated(&projected, start);
     let profile1 = Profile::from_stays(PatternKind::RegionVisits, &full_stays, &grid);
     let profile2 = Profile::from_stays(PatternKind::MovementPattern, &full_stays, &grid);
 
@@ -87,14 +90,10 @@ fn prepare_one(cfg: &ExperimentConfig, user_idx: u32) -> UserData {
         })
         .collect();
 
-    // Random-start collection at full rate (Figure 4(b)); seeded per user
-    // so the whole experiment stays deterministic.
-    let mut rng = StdRng::seed_from_u64(cfg.synth.seed ^ (u64::from(user_idx) << 17) ^ 0x000F_1CED);
-    let start = sampling::random_start_index(user.trace.len(), &mut rng);
     let rotated = IntervalData {
         interval_s: 1,
         collected_points: user.trace.len(),
-        stays: extractor.extract_rotated_soa(&projected, start),
+        stays: rotated_stays,
     };
 
     let impacts = per_interval
@@ -112,6 +111,14 @@ fn prepare_one(cfg: &ExperimentConfig, user_idx: u32) -> UserData {
         rotated,
         impacts,
     }
+}
+
+/// Where user `user_idx`'s random-start collection (Figure 4(b)) begins in
+/// a trace of `len` fixes; seeded per user so the whole experiment stays
+/// deterministic.
+fn random_start(cfg: &ExperimentConfig, user_idx: u32, len: usize) -> usize {
+    let mut rng = StdRng::seed_from_u64(cfg.synth.seed ^ (u64::from(user_idx) << 17) ^ 0x000F_1CED);
+    sampling::random_start_index(len, &mut rng)
 }
 
 /// Prepares every user of the configured population, in parallel.
@@ -199,6 +206,33 @@ mod tests {
                     d.interval_s
                 );
             }
+        }
+    }
+
+    #[test]
+    fn rotated_view_matches_its_own_extraction_and_splices() {
+        // prepare fuses the rotated view into the full pass: each user's
+        // rotated stays must equal extracting the view alone, and the
+        // population must resynchronize somewhere, so an engine change
+        // that breaks resync fails here instead of silently slowing prepare
+        let cfg = ExperimentConfig::small();
+        let extractor = SpatioTemporalExtractor::new(cfg.params);
+        let spliced0 = backwatch_core::obs::POI_SPLICED.get();
+        let users = prepare_users(&cfg);
+        assert!(
+            backwatch_core::obs::POI_SPLICED.get() > spliced0,
+            "no rotated view resynchronized with its full pass"
+        );
+        for u in users {
+            let user = generate_user(&cfg.synth, u.user_id);
+            let start = random_start(&cfg, u.user_id, user.trace.len());
+            let projected = SoaProjectedTrace::project(&user.trace);
+            assert_eq!(
+                u.rotated.stays,
+                extractor.extract_rotated_soa(&projected, start),
+                "user {} start {start}",
+                u.user_id
+            );
         }
     }
 

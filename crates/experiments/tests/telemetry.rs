@@ -100,3 +100,33 @@ fn snapshot_counts_match_population() {
     assert_eq!(passes, u64::from(cfg.synth.n_users) * (cfg.intervals.len() as u64 + 1));
     drop(users);
 }
+
+#[test]
+fn pushed_and_spliced_fixes_cover_every_view() {
+    let _guard = COUNTER_LOCK.lock().unwrap();
+    obs::register_all();
+    let points0 = backwatch_core::obs::POI_POINTS.get();
+    let spliced0 = backwatch_core::obs::POI_SPLICED.get();
+
+    let users = prepare::prepare_users(&ExperimentConfig::small());
+
+    let pushed = backwatch_core::obs::POI_POINTS.get() - points0;
+    let spliced = backwatch_core::obs::POI_SPLICED.get() - spliced0;
+    // per user: the full pass and the rotated view each cover the trace
+    // (the rotated one partly by splicing), and every sampled view short
+    // of the whole trace is pushed
+    let expected: usize = users
+        .iter()
+        .map(|u| {
+            let sampled: usize = u
+                .per_interval
+                .iter()
+                .filter(|d| d.collected_points != u.trace_len)
+                .map(|d| d.collected_points)
+                .sum();
+            2 * u.trace_len + sampled
+        })
+        .sum();
+    assert_eq!(pushed + spliced, expected as u64, "pushed {pushed} + spliced {spliced}");
+    assert!(spliced > 0, "no rotated view resynchronized with its full pass");
+}

@@ -204,15 +204,18 @@ pub fn generate_user(cfg: &SynthConfig, user_idx: u32) -> UserTrace {
     let mut rng = StdRng::seed_from_u64(split_seed(cfg.seed, user_idx));
     let frame = Frame::new(cfg.city_center);
 
-    let places = gen_places(cfg, &frame, &mut rng);
+    let (places, home) = gen_places(cfg, &frame, &mut rng);
     let is_worker = coin(&mut rng, cfg.worker_fraction) && places.iter().any(|p| p.kind == PlaceKind::Work);
     let zipf = Zipf::new(
         places.iter().filter(|p| p.kind == PlaceKind::Secondary).count(),
         cfg.zipf_exponent,
     );
 
-    let schedule = gen_schedule(cfg, &places, is_worker, &zipf, &mut rng);
-    let (trace, true_visits) = record(cfg, &frame, &places, &schedule, &mut rng);
+    // Legs and fixes are laid out on a tangent plane at home.
+    let local = Frame::new(home);
+    let enu: Vec<(f64, f64)> = places.iter().map(|p| local.to_enu(p.pos)).collect();
+    let schedule = gen_schedule(cfg, &places, &enu, is_worker, &zipf, &mut rng);
+    let (trace, true_visits) = record(cfg, &local, &enu, &places, &schedule, &mut rng);
 
     crate::obs::register();
     crate::obs::SYNTH_USERS.inc();
@@ -304,7 +307,8 @@ fn draw_home(cfg: &SynthConfig, rng: &mut StdRng) -> (f64, f64) {
     uniform_in_disk(rng, cfg.city_radius_m.get() * 0.8)
 }
 
-fn gen_places(cfg: &SynthConfig, frame: &Frame, rng: &mut StdRng) -> Vec<Place> {
+/// The user's places, home first, and the home position.
+fn gen_places(cfg: &SynthConfig, frame: &Frame, rng: &mut StdRng) -> (Vec<Place>, LatLon) {
     let (errand_pool, work_pool) = shared_pools(cfg);
     let home = draw_home(cfg, rng);
     // Work comes from the shared workplace pool, Zipf-popular (big
@@ -333,11 +337,12 @@ fn gen_places(cfg: &SynthConfig, frame: &Frame, rng: &mut StdRng) -> Vec<Place> 
         }
     }
 
+    let home_pos = frame.to_latlon(Meters::new(home.0), Meters::new(home.1));
     let mut places = Vec::with_capacity(2 + n_secondary);
     places.push(Place {
         id: 0,
         kind: PlaceKind::Home,
-        pos: frame.to_latlon(Meters::new(home.0), Meters::new(home.1)),
+        pos: home_pos,
     });
     places.push(Place {
         id: 1,
@@ -352,7 +357,7 @@ fn gen_places(cfg: &SynthConfig, frame: &Frame, rng: &mut StdRng) -> Vec<Place> 
             pos: frame.to_latlon(Meters::new(p.0), Meters::new(p.1)),
         });
     }
-    places
+    (places, home_pos)
 }
 
 /// One scheduled dwell: which place, and the dwell interval in absolute
@@ -377,14 +382,21 @@ fn leg_speed(dist: f64, rng: &mut StdRng) -> f64 {
     base * truncated_normal(rng, 1.0, 0.15, 0.7, 1.4)
 }
 
-fn gen_schedule(cfg: &SynthConfig, places: &[Place], is_worker: bool, zipf: &Zipf, rng: &mut StdRng) -> Vec<ScheduledVisit> {
+/// The visit schedule; `enu` holds each place's position on the home
+/// tangent plane, in `places` order.
+fn gen_schedule(
+    cfg: &SynthConfig,
+    places: &[Place],
+    enu: &[(f64, f64)],
+    is_worker: bool,
+    zipf: &Zipf,
+    rng: &mut StdRng,
+) -> Vec<ScheduledVisit> {
     let secondary_ids: Vec<usize> = places
         .iter()
         .filter(|p| p.kind == PlaceKind::Secondary)
         .map(|p| p.id)
         .collect();
-    let frame = Frame::new(places[0].pos);
-    let enu: Vec<(f64, f64)> = places.iter().map(|p| frame.to_enu(p.pos)).collect();
     let travel = |a: usize, b: usize, rng: &mut StdRng| -> i64 {
         let (ax, ay) = enu[a];
         let (bx, by) = enu[b];
@@ -477,16 +489,15 @@ fn gen_schedule(cfg: &SynthConfig, places: &[Place], is_worker: bool, zipf: &Zip
 }
 
 /// Renders the schedule into a recorded trace plus the ground-truth visit
-/// log.
+/// log, on the home tangent plane `local` (`enu` as in [`gen_schedule`]).
 fn record(
     cfg: &SynthConfig,
-    _frame: &Frame,
+    local: &Frame,
+    enu: &[(f64, f64)],
     places: &[Place],
     schedule: &[ScheduledVisit],
     rng: &mut StdRng,
 ) -> (Trace, Vec<TrueVisit>) {
-    let local = Frame::new(places[0].pos);
-    let enu: Vec<(f64, f64)> = places.iter().map(|p| local.to_enu(p.pos)).collect();
     let mut pts: Vec<TracePoint> = Vec::new();
     let mut visits: Vec<TrueVisit> = Vec::new();
     let noise = cfg.gps_noise_m.get();

@@ -149,11 +149,15 @@ fn rotated_extraction_is_bit_identical() {
     let soa = SoaProjectedTrace::project(&user.trace);
     for metric in METRICS {
         let extractor = SpatioTemporalExtractor::new(params_with(metric));
+        let full = extractor.extract(&user.trace);
         for start in [0, 1, user.trace.len() / 2, user.trace.len() - 1] {
             let owned = sampling::rotate_to_start(&user.trace, start);
             let exact = extractor.extract(&owned);
             let planar = extractor.extract_rotated_soa(&soa, start);
             assert_eq!(exact, planar, "metric {metric:?}, start {start}");
+            let (fused_full, fused_rotated) = extractor.extract_soa_and_rotated(&soa, start);
+            assert_eq!(full, fused_full, "fused full, metric {metric:?}, start {start}");
+            assert_eq!(exact, fused_rotated, "fused rotated, metric {metric:?}, start {start}");
         }
     }
 }
@@ -185,10 +189,16 @@ fn soa_extraction_is_bit_identical_everywhere() {
                     );
                 }
                 let start = user.trace.len() / 3;
+                let rotated = extractor.extract(&sampling::rotate_to_start(&user.trace, start));
                 assert_eq!(
-                    extractor.extract(&sampling::rotate_to_start(&user.trace, start)),
+                    rotated,
                     extractor.extract_rotated_soa(&soa, start),
                     "start {start}, {params:?}, metric {metric:?}, user {seed}"
+                );
+                assert_eq!(
+                    (extractor.extract(&user.trace), rotated),
+                    extractor.extract_soa_and_rotated(&soa, start),
+                    "fused, start {start}, {params:?}, metric {metric:?}, user {seed}"
                 );
             }
         }
@@ -291,14 +301,30 @@ proptest! {
     /// Table III parameter set, batch and streaming planar extraction
     /// produce exactly the stays of the lat/lon oracle, and the planar
     /// filter actually decided the comparisons (certified or refined).
+    /// The fused full-plus-rotated call equals the oracle on the trace and
+    /// on its rotation to a drawn start.
     #[test]
-    fn soa_differential_matches_scalar_oracle(steps in prop::collection::vec(arb_step(), 0..400)) {
+    fn soa_differential_matches_scalar_oracle(
+        steps in prop::collection::vec(arb_step(), 0..400),
+        start_draw in any::<usize>(),
+    ) {
         let trace = build_trace(&steps);
         let soa = SoaProjectedTrace::project(&trace);
+        let start = if trace.is_empty() { 0 } else { start_draw % trace.len() };
+        let rotated_trace = sampling::rotate_to_start(&trace, start);
         for params in ExtractorParams::table3_sets() {
             let extractor = SpatioTemporalExtractor::new(params);
             let oracle = extractor.extract(&trace);
             prop_assert_eq!(&oracle, &extractor.extract_soa(&soa), "batch SoA vs oracle, params {:?}", params);
+            let (full, rotated) = extractor.extract_soa_and_rotated(&soa, start);
+            prop_assert_eq!(&oracle, &full, "fused full vs oracle, start {}, params {:?}", start, params);
+            prop_assert_eq!(
+                &extractor.extract(&rotated_trace),
+                &rotated,
+                "fused rotated vs oracle, start {}, params {:?}",
+                start,
+                params
+            );
             let (streamed, ctx) = stream_soa(params, &soa);
             prop_assert_eq!(&oracle, &streamed, "streamed SoA vs oracle, params {:?}", params);
             let (certified, refined) = ctx.decision_counts();
