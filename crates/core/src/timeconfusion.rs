@@ -9,7 +9,6 @@
 //! time between confusion points.
 
 use backwatch_geo::distance::Metric;
-use backwatch_geo::LatLon;
 use backwatch_trace::Trace;
 
 /// Result of a time-to-confusion analysis.
@@ -48,14 +47,6 @@ impl Default for TtcConfig {
     }
 }
 
-/// The position of a trace owner at second `t` (last fix at or before
-/// `t`, clamped to the ends), or `None` for an empty trace.
-fn position_at(trace: &Trace, t: i64) -> Option<LatLon> {
-    let pts = trace.points();
-    let idx = pts.partition_point(|p| p.time.as_secs() <= t);
-    pts.get(idx.saturating_sub(1)).map(|p| p.pos)
-}
-
 /// Computes time-to-confusion for `released` (the target's stream seen by
 /// the adversary) against the ground-truth movements of the `population`
 /// (the other users the adversary could confuse the target with).
@@ -79,7 +70,7 @@ pub fn time_to_confusion(released: &Trace, population: &[&Trace], cfg: TtcConfig
         // the target itself is always a plausible owner
         let mut plausible = 1usize;
         for other in population {
-            if let Some(pos) = position_at(other, t) {
+            if let Some(pos) = other.position_at(p.time) {
                 if cfg.metric.distance(pos, p.pos) <= cfg.confusion_radius_m {
                     plausible += 1;
                     if plausible >= cfg.k {
@@ -118,6 +109,7 @@ pub fn time_to_confusion(released: &Trace, population: &[&Trace], cfg: TtcConfig
 #[cfg(test)]
 mod tests {
     use super::*;
+    use backwatch_geo::LatLon;
     use backwatch_trace::{Timestamp, TracePoint};
 
     fn line_trace(lat0: f64, n: i64) -> Trace {

@@ -20,7 +20,6 @@ use backwatch_core::pattern::{PatternKind, Profile};
 use backwatch_core::poi::{cluster_stays, match_against_truth, sensitive_counts, ExtractorParams, SpatioTemporalExtractor};
 use backwatch_geo::Grid;
 use backwatch_trace::synth::UserTrace;
-use backwatch_trace::Trace;
 use rand::RngCore;
 
 /// The scorecard of one mechanism on one user.
@@ -67,18 +66,6 @@ pub struct EvalContext<'a> {
     pub matcher: Matcher,
 }
 
-/// True position of the user at second `t` (last recorded fix at or
-/// before `t`, clamped at the ends).
-fn true_position_at(trace: &Trace, t: i64) -> backwatch_geo::LatLon {
-    let pts = trace.points();
-    let idx = pts.partition_point(|p| p.time.as_secs() <= t);
-    if idx == 0 {
-        pts[0].pos
-    } else {
-        pts[idx - 1].pos
-    }
-}
-
 /// Runs the full scorecard for `mechanism` on the context's user.
 ///
 /// # Panics
@@ -93,12 +80,13 @@ pub fn evaluate(mechanism: &dyn Lppm, ctx: &EvalContext<'_>, rng: &mut dyn RngCo
     let mean_error_m = if released.is_empty() {
         0.0
     } else {
+        // every lookup finds a fix: the true trace is not empty
         released
             .iter()
-            .map(|p| {
-                ctx.params
-                    .metric
-                    .distance(p.pos, true_position_at(true_trace, p.time.as_secs()))
+            .filter_map(|p| {
+                true_trace
+                    .position_at(p.time)
+                    .map(|truth| ctx.params.metric.distance(p.pos, truth))
             })
             .sum::<f64>()
             / released.len() as f64

@@ -2,13 +2,14 @@
 //! the d × i grid of PoI / His_bin / Deg_anonymity as coordinates leak
 //! at reduced decimal precision and reporting rate.
 
-use backwatch_experiments::{ext_leakage, obs, ExperimentConfig};
+use backwatch_experiments::{ext_leakage, obs, small_from_args, ExperimentConfig};
 
 fn main() {
     obs::register_all();
-    let cfg = match std::env::args().nth(1).as_deref() {
-        Some("--small") => ExperimentConfig::small(),
-        _ => ExperimentConfig::paper(),
+    let cfg = if small_from_args() {
+        ExperimentConfig::small()
+    } else {
+        ExperimentConfig::paper()
     };
     let result = ext_leakage::run(&cfg);
     print!("{}", ext_leakage::render(&result));

@@ -3,11 +3,11 @@
 //! market snapshot, and a strided slice cross-validated against the
 //! uncached oracle and the dynamic pipeline.
 
-use backwatch_experiments::{ext_reach_scale, obs};
+use backwatch_experiments::{ext_reach_scale, obs, small_from_args};
 
 fn main() {
     obs::register_all();
-    let small = std::env::args().nth(1).as_deref() == Some("--small");
+    let small = small_from_args();
     let cfg = if small {
         ext_reach_scale::ScaleConfig::small()
     } else {

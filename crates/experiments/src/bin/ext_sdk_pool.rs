@@ -2,14 +2,15 @@
 //! faster pattern-2 re-identification fires when an ad-network adversary
 //! pools k apps' streams, as SDK share grows.
 
-use backwatch_experiments::{ext_sdk_pool, obs, ExperimentConfig};
+use backwatch_experiments::{ext_sdk_pool, obs, small_from_args, ExperimentConfig};
 use backwatch_market::corpus::CorpusConfig;
 
 fn main() {
     obs::register_all();
-    let (market, cfg) = match std::env::args().nth(1).as_deref() {
-        Some("--small") => (CorpusConfig::scaled(10), ExperimentConfig::small()),
-        _ => (CorpusConfig::paper_scale(), ExperimentConfig::paper()),
+    let (market, cfg) = if small_from_args() {
+        (CorpusConfig::scaled(10), ExperimentConfig::small())
+    } else {
+        (CorpusConfig::paper_scale(), ExperimentConfig::paper())
     };
     let result = ext_sdk_pool::run(&cfg, &market);
     print!("{}", ext_sdk_pool::render(&result));

@@ -3,12 +3,12 @@
 //! service, throughput and per-fix latency percentiles, differentially
 //! verified against per-user oracle engines.
 
-use backwatch_experiments::{ext_serve, obs, ExperimentConfig};
+use backwatch_experiments::{ext_serve, obs, small_from_args, ExperimentConfig};
 
 fn main() {
     obs::register_all();
     backwatch_serve::obs::register();
-    let small = std::env::args().nth(1).as_deref() == Some("--small");
+    let small = small_from_args();
     let mut cfg = if small {
         ExperimentConfig::small()
     } else {

@@ -2,14 +2,15 @@
 //! manifest triage + IR worklist reachability over the app corpus,
 //! scored class-by-class against the dynamic pipeline.
 
-use backwatch_experiments::{ext_static_reach, obs};
+use backwatch_experiments::{ext_static_reach, obs, small_from_args};
 use backwatch_market::corpus::CorpusConfig;
 
 fn main() {
     obs::register_all();
-    let cfg = match std::env::args().nth(1).as_deref() {
-        Some("--small") => CorpusConfig::scaled(10),
-        _ => CorpusConfig::paper_scale(),
+    let cfg = if small_from_args() {
+        CorpusConfig::scaled(10)
+    } else {
+        CorpusConfig::paper_scale()
     };
     let result = ext_static_reach::run(&cfg);
     print!("{}", ext_static_reach::render(&result));

@@ -2,14 +2,15 @@
 //! X6): online chunked extraction with checkpoint round-trips at every
 //! window boundary, differentially verified against the batch path.
 
-use backwatch_experiments::{ext_streaming, obs, ExperimentConfig};
+use backwatch_experiments::{ext_streaming, obs, small_from_args, ExperimentConfig};
 use std::num::NonZeroUsize;
 
 fn main() {
     obs::register_all();
-    let cfg = match std::env::args().nth(1).as_deref() {
-        Some("--small") => ExperimentConfig::small(),
-        _ => ExperimentConfig::paper(),
+    let cfg = if small_from_args() {
+        ExperimentConfig::small()
+    } else {
+        ExperimentConfig::paper()
     };
     let chunk = NonZeroUsize::new(4096).unwrap_or(NonZeroUsize::MIN);
     let result = ext_streaming::run(&cfg, chunk);

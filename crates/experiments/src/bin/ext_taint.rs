@@ -4,11 +4,11 @@
 //! the knife-edge agreement between static sanitizer degrees and the
 //! dynamic containment adversary.
 
-use backwatch_experiments::{ext_taint, obs};
+use backwatch_experiments::{ext_taint, obs, small_from_args};
 
 fn main() {
     obs::register_all();
-    let small = std::env::args().nth(1).as_deref() == Some("--small");
+    let small = small_from_args();
     let cfg = if small {
         ext_taint::TaintScaleConfig::small()
     } else {

@@ -1,13 +1,16 @@
 //! Regenerates the extension experiments: top-N re-identification
 //! (Zang & Bolot) and time-to-confusion (Hoh et al.).
 
-use backwatch_experiments::{ext_ablation, ext_defense, ext_fgbg, ext_reident, ext_ttc, obs, prepare, ExperimentConfig};
+use backwatch_experiments::{
+    ext_ablation, ext_defense, ext_fgbg, ext_reident, ext_ttc, obs, prepare, small_from_args, ExperimentConfig,
+};
 
 fn main() {
     obs::register_all();
-    let cfg = match std::env::args().nth(1).as_deref() {
-        Some("--small") => ExperimentConfig::small(),
-        _ => ExperimentConfig::paper(),
+    let cfg = if small_from_args() {
+        ExperimentConfig::small()
+    } else {
+        ExperimentConfig::paper()
     };
     let users = prepare::prepare_users(&cfg);
     print!("{}", ext_reident::render(&ext_reident::run(&cfg, &users)));

@@ -1,14 +1,15 @@
 //! Regenerates Figure 1: the CDF of background location-request
 //! intervals.
 
-use backwatch_experiments::obs;
+use backwatch_experiments::{obs, small_from_args};
 use backwatch_market::{corpus::CorpusConfig, report, run_study};
 
 fn main() {
     obs::register_all();
-    let cfg = match std::env::args().nth(1).as_deref() {
-        Some("--small") => CorpusConfig::scaled(10),
-        _ => CorpusConfig::paper_scale(),
+    let cfg = if small_from_args() {
+        CorpusConfig::scaled(10)
+    } else {
+        CorpusConfig::paper_scale()
     };
     let study = run_study(&cfg);
     print!("{}", report::render_fig1(&study.interval_cdf));

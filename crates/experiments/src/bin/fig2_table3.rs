@@ -1,13 +1,14 @@
 //! Regenerates Table III + Figure 2: PoIs extracted under the six
 //! parameter sets.
 
-use backwatch_experiments::{fig2, obs, ExperimentConfig};
+use backwatch_experiments::{fig2, obs, small_from_args, ExperimentConfig};
 
 fn main() {
     obs::register_all();
-    let cfg = match std::env::args().nth(1).as_deref() {
-        Some("--small") => ExperimentConfig::small(),
-        _ => ExperimentConfig::paper(),
+    let cfg = if small_from_args() {
+        ExperimentConfig::small()
+    } else {
+        ExperimentConfig::paper()
     };
     let result = fig2::run(&cfg);
     print!("{}", fig2::render(&result));

@@ -1,12 +1,13 @@
 //! Regenerates Figure 3: PoI_total and PoI_sensitive vs access frequency.
 
-use backwatch_experiments::{fig3, obs, prepare, ExperimentConfig};
+use backwatch_experiments::{fig3, obs, prepare, small_from_args, ExperimentConfig};
 
 fn main() {
     obs::register_all();
-    let cfg = match std::env::args().nth(1).as_deref() {
-        Some("--small") => ExperimentConfig::small(),
-        _ => ExperimentConfig::paper(),
+    let cfg = if small_from_args() {
+        ExperimentConfig::small()
+    } else {
+        ExperimentConfig::paper()
     };
     let users = prepare::prepare_users(&cfg);
     let result = fig3::run(&cfg, &users);

@@ -1,12 +1,13 @@
 //! Regenerates Figure 5: the entropy (degree of anonymity) comparison.
 
-use backwatch_experiments::{fig5, obs, prepare, ExperimentConfig};
+use backwatch_experiments::{fig5, obs, prepare, small_from_args, ExperimentConfig};
 
 fn main() {
     obs::register_all();
-    let cfg = match std::env::args().nth(1).as_deref() {
-        Some("--small") => ExperimentConfig::small(),
-        _ => ExperimentConfig::paper(),
+    let cfg = if small_from_args() {
+        ExperimentConfig::small()
+    } else {
+        ExperimentConfig::paper()
     };
     let users = prepare::prepare_users(&cfg);
     let result = fig5::run(&cfg, &users);

@@ -10,28 +10,16 @@ use std::time::Instant;
 
 fn main() {
     obs::register_all();
-    let args: Vec<String> = std::env::args().collect();
-    let (market_cfg, mut exp_cfg) = if args.iter().any(|a| a == "--small") {
+    let args = parse_args();
+    let (market_cfg, mut exp_cfg) = if args.small {
         (CorpusConfig::scaled(10), ExperimentConfig::small())
     } else {
         (CorpusConfig::paper_scale(), ExperimentConfig::paper())
     };
-    // --threads <n>: override the worker-pool width (1 = the sequential
-    // baseline recorded in BENCH_experiments.json)
-    if let Some(t) = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse::<usize>().ok())
-    {
+    if let Some(t) = args.threads {
         exp_cfg.threads = t.max(1);
     }
-    // --csv <dir>: also write plot-ready data files for every figure
-    let csv_dir = args
-        .iter()
-        .position(|a| a == "--csv")
-        .and_then(|i| args.get(i + 1))
-        .map(std::path::PathBuf::from);
+    let csv_dir = args.csv_dir;
     if let Some(dir) = &csv_dir {
         std::fs::create_dir_all(dir).expect("can create the csv output directory");
     }
@@ -154,6 +142,46 @@ fn main() {
     print!("{}", obs::snapshot_text());
 
     eprintln!("[total: {:?}]", t0.elapsed());
+}
+
+/// The command line: `[--small] [--threads N] [--csv DIR]`.
+struct Args {
+    small: bool,
+    /// Worker-pool width (1 = the sequential baseline).
+    threads: Option<usize>,
+    /// Where to also write plot-ready data files for every figure.
+    csv_dir: Option<std::path::PathBuf>,
+}
+
+/// Parses the command line; any other flag, or a missing or malformed
+/// value, prints a usage line and exits with status 2.
+fn parse_args() -> Args {
+    let mut args = std::env::args();
+    let bin = args.next().unwrap_or_default();
+    let usage = || -> ! {
+        eprintln!("usage: {bin} [--small] [--threads N] [--csv DIR]");
+        std::process::exit(2)
+    };
+    let mut parsed = Args {
+        small: false,
+        threads: None,
+        csv_dir: None,
+    };
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--small" => parsed.small = true,
+            "--threads" => match args.next().and_then(|s| s.parse().ok()) {
+                Some(n) => parsed.threads = Some(n),
+                None => usage(),
+            },
+            "--csv" => match args.next() {
+                Some(dir) => parsed.csv_dir = Some(dir.into()),
+                None => usage(),
+            },
+            _ => usage(),
+        }
+    }
+    parsed
 }
 
 fn write_csv(dir: &Option<std::path::PathBuf>, name: &str, content: &str) {

@@ -8,7 +8,7 @@
 //! ingest throughput (fixes/s) and the per-fix ingest latency
 //! distribution (p50/p99/max), while differentially verifying the
 //! service's stays against per-user oracle engines fed the same fixes.
-//! The measured numbers are recorded in `BENCH_serve.json`.
+//! EXPERIMENTS.md (X8) records the paper-scale numbers.
 
 use crate::ExperimentConfig;
 use backwatch_core::poi::{Stay, StreamingExtractor};

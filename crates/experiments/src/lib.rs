@@ -3,8 +3,9 @@
 //!
 //! Every module exposes a `run(...)` returning a plain-data result and a
 //! `render(...)` producing the text the paper's table/figure reports. The
-//! binaries under `src/bin/` are thin wrappers; `repro_all` regenerates
-//! everything in one go (the content of `EXPERIMENTS.md`).
+//! binaries under `src/bin/` are thin wrappers, each reading its scale
+//! with [`small_from_args`] except `repro_all`, which takes more flags and
+//! regenerates everything in one go (the content of `EXPERIMENTS.md`).
 //!
 //! Scale is controlled by [`ExperimentConfig`]: [`ExperimentConfig::paper`]
 //! uses 182 synthetic users and the 28×100 app corpus; `small()` runs in
@@ -84,6 +85,29 @@ impl ExperimentConfig {
     }
 }
 
+/// Whether an experiment binary runs at test scale, read from its command
+/// line: no argument means paper scale and `--small` means test scale. Any
+/// other command line prints a usage line and exits with status 2, so a
+/// typo such as `--smal` cannot start a paper-scale run.
+#[must_use]
+pub fn small_from_args() -> bool {
+    let mut args = std::env::args();
+    let bin = args.next().unwrap_or_default();
+    parse_small(&args.collect::<Vec<_>>()).unwrap_or_else(|| {
+        eprintln!("usage: {bin} [--small]");
+        std::process::exit(2)
+    })
+}
+
+/// `Some(small)` for a valid argument list (after the program name).
+fn parse_small(args: &[String]) -> Option<bool> {
+    match args {
+        [] => Some(false),
+        [flag] if flag == "--small" => Some(true),
+        _ => None,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,6 +128,15 @@ mod tests {
         let cfg = ExperimentConfig::small();
         assert!(cfg.synth.n_users <= 8);
         assert!(cfg.intervals.len() <= 4);
+    }
+
+    #[test]
+    fn only_a_lone_small_flag_is_accepted() {
+        let args = |xs: &[&str]| xs.iter().map(|x| (*x).to_owned()).collect::<Vec<_>>();
+        assert_eq!(parse_small(&args(&[])), Some(false));
+        assert_eq!(parse_small(&args(&["--small"])), Some(true));
+        assert_eq!(parse_small(&args(&["--smal"])), None);
+        assert_eq!(parse_small(&args(&["--small", "--small"])), None);
     }
 
     #[test]

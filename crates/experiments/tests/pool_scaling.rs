@@ -1,6 +1,6 @@
 //! Guard: `map_users` must not get slower when handed more threads.
 //!
-//! BENCH_experiments.json once recorded `prepare_users` *regressing* from
+//! A 1-core measurement once recorded `prepare_users` *regressing* from
 //! 4.78 s at one thread to 6.18 s at four — per-slot mutexes and two clock
 //! reads per user cost more than the parallelism bought. The batched-claim
 //! pool removed that overhead; this test pins the property so it cannot

@@ -76,7 +76,7 @@ fn workspace_is_clean_under_the_allowlist() {
 fn allowlist_count_is_pinned() {
     let root = workspace_root();
     let allowlist = load_allowlist(&root.join("lint-allow.toml")).expect("allowlist parses");
-    const PINNED: usize = 24;
+    const PINNED: usize = 23;
     assert!(
         allowlist.entries.len() <= PINNED,
         "lint-allow.toml grew to {} entries (pinned at {PINNED}); fix the code instead of suppressing",
@@ -112,7 +112,7 @@ fn unit_safety_violations_are_exactly_the_known_exception() {
 }
 
 /// The lint stays fast enough to sit in the inner loop (`./ci` runs it
-/// before the bench smokes; EXPERIMENTS.md records the budget).
+/// before the telemetry smokes; EXPERIMENTS.md records the budget).
 #[test]
 fn full_workspace_pass_stays_under_two_seconds() {
     let root = workspace_root();

@@ -18,7 +18,8 @@
 //!   instrument; the registry only records `&'static` references, so
 //!   instrumented code never touches the registry.
 //! - **Runtime switch.** [`set_enabled`] gates per-pass flushes without
-//!   recompiling — the overhead-guard bench compares the two settings.
+//!   recompiling — the overhead guard (`backwatch-core`'s
+//!   `tests/obs_overhead.rs`) compares the two settings.
 //!
 //! # Examples
 //!

@@ -21,7 +21,8 @@
 //!   to an uninterrupted one (golden digest included);
 //! - [`loadgen`] replays a deterministic synthetic population as one
 //!   globally time-ordered fix stream, which is what the `ext_serve`
-//!   experiment and the `serve` bench measure throughput against.
+//!   experiment and the bwbench `serve` workload measure throughput
+//!   against.
 //!
 //! Telemetry lands under `serve.shard.*`, counted at flush boundaries
 //! (snapshot/finish/drop) — never one atomic per fix.

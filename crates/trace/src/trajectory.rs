@@ -1,7 +1,7 @@
 //! Location traces: ordered sequences of timestamped fixes.
 
 use crate::point::{Timestamp, TracePoint};
-use backwatch_geo::{distance, BoundingBox, Seconds};
+use backwatch_geo::{distance, BoundingBox, LatLon, Seconds};
 use std::error::Error;
 use std::fmt;
 
@@ -127,6 +127,15 @@ impl Trace {
         self.points.last()
     }
 
+    /// Where the trace's owner is at `t`: the position of the last fix at
+    /// or before `t`, or of the first fix when `t` precedes the trace.
+    /// `None` for an empty trace.
+    #[must_use]
+    pub fn position_at(&self, t: Timestamp) -> Option<LatLon> {
+        let idx = self.points.partition_point(|p| p.time <= t);
+        self.points.get(idx.saturating_sub(1)).map(|p| p.pos)
+    }
+
     /// Elapsed seconds between first and last fix (zero for fewer than two
     /// fixes).
     #[must_use]
@@ -217,7 +226,6 @@ impl FromIterator<TracePoint> for Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use backwatch_geo::LatLon;
 
     fn pt(t: i64, lat: f64, lon: f64) -> TracePoint {
         TracePoint::new(Timestamp::from_secs(t), LatLon::new(lat, lon).unwrap())
@@ -241,6 +249,18 @@ mod tests {
         assert_eq!(tr.last().unwrap().time.as_secs(), 5);
         // first occurrence at t=5 wins after the sort (stable)
         assert_eq!(tr.last().unwrap().pos.lat(), 1.0);
+    }
+
+    #[test]
+    fn position_at_holds_the_last_fix_and_clamps_at_the_ends() {
+        let tr = Trace::from_points(vec![pt(10, 1.0, 1.0), pt(20, 2.0, 2.0)]);
+        let lat_at = |t| tr.position_at(Timestamp::from_secs(t)).map(|p| p.lat());
+        assert_eq!(lat_at(0), Some(1.0));
+        assert_eq!(lat_at(10), Some(1.0));
+        assert_eq!(lat_at(19), Some(1.0));
+        assert_eq!(lat_at(20), Some(2.0));
+        assert_eq!(lat_at(99), Some(2.0));
+        assert_eq!(Trace::new().position_at(Timestamp::from_secs(0)), None);
     }
 
     #[test]
